@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke mc-smoke mc-bench fuzz-smoke synth-smoke serve-smoke doc examples clean
+.PHONY: all build test bench bench-smoke benchmark-smoke mc-smoke mc-bench fuzz-smoke synth-smoke serve-smoke doc examples clean
 
 all: build
 
@@ -57,6 +57,24 @@ bench-smoke:
 	dune exec bench/main.exe -- MC
 	dune exec bin/fencelab_cli.exe -- check bakery -n 3 --max-states 50000 \
 	-j 1 --progress --interval 0.2 --stats-out BENCH_check.ndjson
+
+# Benchmark agreement smoke: one-second runs of the check-j1 and
+# views-flat workloads (benchmark/README.md) with the traced pass on.
+# The traced pass re-runs every input on the benchmark's replica of
+# the one-domain expansion loop and, on check-j1, at two domains, so
+# a run reports "correct": true only if the replica's counts equal
+# Mc's and the two-domain counts equal the one-domain ones. Fails
+# unless each run's last line (its JSON result) says "correct": true
+# and "failed": 0.
+benchmark-smoke:
+	for w in check-j1 views-flat; do \
+	  last=$$(python3 benchmark/run.py --workload $$w --seed 1 --seconds 1 \
+	    --trace 1 | tail -n 1); \
+	  echo "$$w: $$last" | cut -c 1-160; \
+	  echo "$$last" | grep -q '"correct": true' \
+	    && echo "$$last" | grep -q '"failed": 0,' \
+	    || { echo "benchmark-smoke: $$w failed" >&2; exit 1; }; \
+	done
 
 # Deterministic differential-fuzzing smoke run: FUZZ_COUNT generated
 # programs (default 250) through all seven oracles; shrunk

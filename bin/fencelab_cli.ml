@@ -58,11 +58,12 @@ let nprocs_t =
 let jobs_t =
   Arg.(
     value
-    & opt int 0
+    & opt int 1
     & info [ "j"; "jobs" ] ~docv:"J"
         ~doc:
-          "Exploration domains: 0 (default) uses the sequential DFS, J >= 1 \
-           the parallel engine with J domains.")
+          "Exploration domains: J >= 1 (default 1) runs the parallel engine \
+           with J domains; 0 selects the historical sequential DFS, kept as \
+           the parity reference.")
 
 let por_t =
   Arg.(
@@ -140,7 +141,7 @@ let reorder_bound_t =
 
 (* --jobs/--por/--symmetry to an Mc engine selection: the reductions
    are Mc features, so requesting either routes through the parallel
-   engine even at J=1. *)
+   engine even at J=0. *)
 let engine_of ?(symmetry = false) ~jobs ~por () : Mc.engine =
   if jobs >= 1 then `Parallel jobs
   else if por || symmetry then `Parallel 1

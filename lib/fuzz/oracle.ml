@@ -110,14 +110,14 @@ let check ?(config = default_config) prog : verdict =
     let ra = run test ~model:Memory_model.Ra in
     nesting "SC⊆SRA" ~stronger:sc ~weaker:sra;
     nesting "SRA⊆RA" ~stronger:sra ~weaker:ra;
-    (* oracle 2: engine parity under the configured model *)
+    (* oracle 2: engine parity under the configured model, against
+       the string-keyed sequential explorer *)
     let reference =
-      match config.model with
-      | Memory_model.Sc -> sc
-      | Memory_model.Tso -> tso
-      | Memory_model.Pso | Memory_model.Rmo -> pso
-      | Memory_model.Ra -> ra
-      | Memory_model.Sra -> sra
+      run ~engine:`Dfs test
+        ~model:
+          (match config.model with
+          | Memory_model.Rmo -> Memory_model.Pso
+          | m -> m)
     in
     let parity tag r =
       if outcomes r <> outcomes reference then

@@ -52,8 +52,9 @@ let configure ?compile test ~model =
   (regs, Config.make ?compile ~model ~layout (test.programs regs))
 
 (** Enumerate all reachable outcomes of [test] under [model]. [engine]
-    selects the explorer ([`Dfs] default, [`Parallel j] for the
-    multicore engine); [por] enables partial-order reduction, which
+    selects the explorer ([`Parallel j] for the multicore engine,
+    [`Parallel 1] by default; [`Dfs] for the historical reference
+    explorer); [por] enables partial-order reduction, which
     preserves the outcome set (all quiescent states are still reached)
     while visiting fewer states. [tel] plugs a {!Telemetry.Hub.t} into
     the exploration for live progress and stats (see {!Mc.run}). *)

@@ -37,8 +37,9 @@ val configure :
   ?compile:bool -> t -> model:Memory_model.t -> Reg.t array * Config.t
 
 (** Enumerate all reachable outcomes under the model. [engine] selects
-    the explorer ([`Dfs] default, [`Parallel j] for the multicore
-    engine); [por] preserves the outcome set while visiting fewer
+    the explorer ([`Parallel j] for the multicore engine, [`Parallel 1]
+    by default; [`Dfs] for the historical reference explorer); [por]
+    preserves the outcome set while visiting fewer
     states. [tel] plugs a {!Telemetry.Hub.t} into the exploration for
     live progress and stats (see {!Mc.run}). [reorder_bound] restricts
     the enumeration to executions within a reorder budget ([`K k]) or

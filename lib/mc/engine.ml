@@ -11,11 +11,12 @@
       the former injection-queue design scale negatively with domains;
     - states are deduplicated {e at creation}: an expansion executes
       its edges, normalizes each child (label flushing), monitors the
-      pending notes, and then claims the whole brood in one batched
-      two-phase {!Visited} probe ([add_batch] — lock-free racy
-      pre-check, then one shard-lock round for the survivors). Only
-      claim winners become tasks, so duplicate states — the majority,
-      on lock workloads — never travel through the deques at all;
+      pending notes, and then claims the children one at a time with
+      {!Visited.add} — a lock-free racy probe of the child's shard,
+      then the shard lock only for a child that probe did not find.
+      Only claim winners become tasks, so duplicate states — the
+      majority, on lock workloads — never travel through the deques
+      at all;
     - each task carries its fingerprint, updated in O(1) per edge and
       per flushed label from [Exec.exec_elt_d]'s dirty reports;
     - with [por], each expansion first looks for a persistent-singleton
@@ -386,9 +387,9 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
   in
   (* Expand one claimed, normalized task: fire its hooks, execute and
      monitor every chosen edge, normalize and monitor each child, then
-     claim the whole brood in one batched visited probe. Returns the
-     claim winners in exploration order (first child first); only they
-     become tasks. Mirrors Explore.dfs edge for edge — the same
+     claim the children in the visited set. Returns the claim winners
+     in exploration order (first child first); only they become
+     tasks. Mirrors Explore.dfs edge for edge — the same
      elements are executed, the same notes monitored, each distinct
      normalized state claimed once — with dedup moved from child entry
      to child creation. *)
@@ -536,7 +537,6 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
           match candidates with
           | [] -> []
           | [ c ] ->
-              (* single candidate: plain add, no batch machinery *)
               if Visited.add visited (key w c) then begin
                 Atomic.incr states;
                 [ c ]
@@ -546,11 +546,9 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
                 []
               end
           | _ ->
-              (* per-candidate adds: {!Visited.add} is atomic per
-                 fingerprint (racy pre-check, locked re-check), so a
-                 duplicate within the same expansion still wins at most
-                 once — same claim semantics as the former array batch,
-                 without materializing candidate and key arrays *)
+              (* {!Visited.add} is atomic per fingerprint (racy
+                 pre-check, locked re-check), so a duplicate within the
+                 same expansion still wins at most once *)
               let ntotal = ref 0 and nclaimed = ref 0 in
               let claimed =
                 List.filter
@@ -722,7 +720,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
     deadlocks = !deadlocks;
   }
 
-let run (type m) ?tel ?(engine : engine = `Dfs) ?(por = false)
+let run (type m) ?tel ?(engine : engine = `Parallel 1) ?(por = false)
     ?(symmetry = false) ?expected_states ?report_visited
     ?(max_states = 1_000_000) ?(max_depth = 100_000) ?(max_violations = 3)
     ?(max_deadlocks = max_int) ?reorder_bound ?checkpoint ?resume
@@ -732,9 +730,8 @@ let run (type m) ?tel ?(engine : engine = `Dfs) ?(por = false)
     m Explore.result =
   match engine with
   | `Dfs ->
-      (* bit-compatible with the historical sequential checker; [por]
-         and [symmetry] do not apply (use [`Parallel 1] for reduced
-         sequential exploration) *)
+      (* the historical string-keyed sequential checker, kept as the
+         parity reference; [por] and [symmetry] do not apply *)
       if symmetry then
         Fmt.invalid_arg "Mc.run: ~symmetry:true requires `Parallel";
       if checkpoint <> None || resume <> None then

@@ -1,10 +1,11 @@
-(** Parallel, reduction-aware model-checking engine. [`Dfs] delegates
-    to the historical {!Memsim.Explore.dfs}; [`Parallel j] explores
-    with [j] domains over per-worker work-stealing deques and a
-    fingerprint-sharded visited set, optionally under partial-order
-    reduction ([por], {!Por}) and process-id symmetry reduction
-    ([symmetry], {!Symmetry}). See the implementation header for the
-    parity guarantees with the sequential checker and the
+(** Parallel, reduction-aware model-checking engine. [`Parallel j]
+    (the default at [j = 1]) explores with [j] domains over per-worker
+    work-stealing deques and a fingerprint-sharded visited set,
+    optionally under partial-order reduction ([por], {!Por}) and
+    process-id symmetry reduction ([symmetry], {!Symmetry}). [`Dfs]
+    delegates to the historical string-keyed {!Memsim.Explore.dfs},
+    kept as the parity reference. See the implementation header for
+    the parity guarantees with the sequential checker and the
     thread-safety contract of the hooks. *)
 
 open Memsim
@@ -31,7 +32,9 @@ type checkpoint = {
 }
 
 (** Drop-in counterpart of {!Memsim.Explore.dfs} (same hooks, bounds
-    and result type). [por] and [symmetry] apply only to [`Parallel];
+    and result type). [engine] defaults to [`Parallel 1]: one domain,
+    deterministic, the same states, transitions and verdicts as
+    [`Dfs]. [por] and [symmetry] apply only to [`Parallel];
     [check] and [monitor] must be pure under [`Parallel]; [on_final]
     is serialized internally. With [por] the states/transitions counts
     drop but all deadlocks, quiescent states and note-driven monitor

@@ -90,12 +90,9 @@ let mix fp t = { a = fp.a lxor t.a; b = fp.b lxor t.b }
 let equal x y = x.a = y.a && x.b = y.b
 let compare x y = if x.a <> y.a then Int.compare x.a y.a else Int.compare x.b y.b
 
-(** In-table hash: lane [a]. *)
-let hash x = x.a land max_int
-
-(** Shard index: lane [b], decorrelated from the in-table hash so a
-    shard's table does not degenerate into few buckets. [mask] must be
-    [2^k - 1]. *)
+(** Shard index: lane [b], decorrelated from lane [a], which
+    {!Visited} probes within the shard, so a shard's table does not
+    degenerate into few slots. [mask] must be [2^k - 1]. *)
 let shard x ~mask = x.b land mask
 
 let pp ppf x = Fmt.pf ppf "%016x:%016x" x.a x.b

@@ -4,15 +4,17 @@
 
     - {!Fingerprint}: 126-bit incremental state fingerprints over the
       shared {!Memsim.Statekey} component stream;
-    - {!Visited}: sharded concurrent visited set with batched
-      two-phase probes;
+    - {!Visited}: sharded concurrent visited set of flat
+      open-addressing tables with lock-free racy pre-checks;
     - {!Deque}: Chase–Lev lock-free work-stealing deque;
     - {!Frontier}: per-worker deques + distributed termination;
     - {!Por}: independence relation and safe-step selection;
     - {!Symmetry}: canonical fingerprints over process-id orbits;
     - {!Replay}: deterministic counterexample replay;
     - {!Engine} (included here): [Mc.run] and friends, mirroring
-      {!Memsim.Explore.dfs} behind an [?engine] parameter.
+      {!Memsim.Explore.dfs} behind an [?engine] parameter that
+      defaults to [`Parallel 1]; [`Dfs] selects the historical
+      explorer, kept as the parity reference.
 
     Entry points:
     [Mc.run ~engine:(`Parallel jobs) ~por:true ~symmetry:true ...],

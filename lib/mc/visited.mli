@@ -1,10 +1,12 @@
 (** Sharded concurrent visited set over state fingerprints: a
-    power-of-two array of insert-only hash sets (immutable bucket
-    chains, atomically published bucket arrays), shard index and
-    in-shard hash drawn from decorrelated fingerprint lanes, with a
+    power-of-two array of insert-only open-addressing tables (both
+    fingerprint lanes inline in a flat [int array], linear probing,
+    at most 3/4 full, atomically published on growth), shard index and
+    in-shard slot drawn from decorrelated fingerprint lanes, with a
     lock-free racy pre-check in front of every insert — sound by
-    construction: nothing a concurrent reader can reach is ever
-    mutated (see the implementation header). *)
+    construction: a slot is written once, so a racy read sees each
+    lane as 0 or its final value, and a racy hit counts only when both
+    query lanes are non-zero (see the implementation header). *)
 
 type t
 
@@ -25,13 +27,6 @@ val create : ?shards:int -> ?expected_states:int -> unit -> t
 (** Test-and-insert; [true] iff the fingerprint was new and this call
     won it. *)
 val add : t -> Fingerprint.t -> bool
-
-(** Claim a whole expansion's worth of fingerprints in one two-phase
-    probe: lock-free duplicate filtering, then one shard-lock round
-    per distinct shard among the survivors. [(add_batch t fps).(i)]
-    iff [fps.(i)] was fresh and won by this call (equal fingerprints
-    within a batch are won at most once). *)
-val add_batch : t -> Fingerprint.t array -> bool array
 
 val mem : t -> Fingerprint.t -> bool
 

@@ -1,13 +1,12 @@
-(** Wall-clock time for span timers and sampler timestamps.
+(** Monotonic time for span timers, sampler intervals and frontier
+    sleep accounting.
 
-    [Unix.gettimeofday] is wall time, not a monotonic clock; spans
-    measured across an NTP step can be off. That is acceptable here:
-    spans instrument sleep/wake churn and sampler intervals, where
-    tens-of-microseconds accuracy over seconds-long runs is plenty —
-    and it keeps the library free of any dependency the container may
-    not carry. *)
+    Reads [CLOCK_MONOTONIC] through bechamel's allocation-free stub, so
+    a wall-clock step (NTP, a manual date change) cannot stretch or
+    shrink a measured interval. The origin is arbitrary: every user
+    only subtracts two readings, and no reading is meaningful on its
+    own. *)
 
-let now_s () = Unix.gettimeofday ()
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
-(** Nanoseconds as an [int] (63-bit: good for ~292 years). *)
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+let now_s () = float_of_int (now_ns ()) *. 1e-9

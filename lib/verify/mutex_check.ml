@@ -47,13 +47,16 @@ let pp_verdict ppf v =
     (Memory_model.to_string v.model)
     v.nprocs v.rounds
     (if v.holds then
-       (* honest accounting: a clean pass below saturation is a subset
-          verdict and must never print as a plain OK — mirror the
-          [--symmetry] wording discipline *)
+       (* honest accounting: a clean pass below saturation, or one cut
+          short by a state or depth cap, is a subset verdict and must
+          never print as a plain OK — mirror the [--symmetry] wording
+          discipline *)
+       let subset = if v.symmetry then " (symmetry-reduced subset)" else "" in
        match v.reorder_bound with
        | Some k when not v.bound_exact ->
            Fmt.str "NO VIOLATION FOUND (reorder-bound %d subset)" k
-       | _ -> if v.symmetry then "OK (symmetry-reduced subset)" else "OK"
+       | _ when v.stats.Explore.truncated -> "NO VIOLATION FOUND" ^ subset
+       | _ -> "OK" ^ subset
      else if v.me_violation <> None then "MUTUAL EXCLUSION VIOLATED"
      else if v.deadlock <> None then "DEADLOCK"
      else "LOST UPDATE")
@@ -112,7 +115,7 @@ let workload ?compile ~model (factory : Locks.Lock.factory) ~nprocs ~rounds =
   (lock, counter, Config.make ?compile ~model ~layout programs)
 
 let check ?tel ?compile ?(rounds = 1) ?max_states ?max_depth ?expected_states
-    ?report_visited ?(engine = `Dfs) ?(por = false) ?(symmetry = false)
+    ?report_visited ?(engine = `Parallel 1) ?(por = false) ?(symmetry = false)
     ?reorder_bound ?checkpoint ?resume ~model factory ~nprocs : verdict =
   if symmetry && reorder_bound <> None then
     invalid_arg "Mutex_check.check: ~symmetry and ~reorder_bound are exclusive";
@@ -124,8 +127,8 @@ let check ?tel ?compile ?(rounds = 1) ?max_states ?max_depth ?expected_states
     if Config.read_mem final counter <> nprocs * rounds then
       lost_update := true
   in
-  (* `Dfs is the historical sequential explorer; `Parallel routes
-     through the Mc engine. The checker's monitor is note-driven, so
+  (* `Parallel routes through the Mc engine; `Dfs is the historical
+     sequential explorer. The checker's monitor is note-driven, so
      POR preserves its verdicts (see Mc.Por). Symmetry guarantees
      less: the passage loop is shared, but the lock factories embed
      pid-dependent tie-breaks (bakery's [slot < j]), so the workload

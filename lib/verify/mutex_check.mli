@@ -49,11 +49,12 @@ val workload :
   ?compile:bool -> model:Memory_model.t -> Locks.Lock.factory -> nprocs:int ->
   rounds:int -> Locks.Lock.t * Reg.t * Config.t
 
-(** [engine] selects the explorer: [`Dfs] (default) is the historical
-    sequential {!Memsim.Explore.dfs}; [`Parallel j] runs the [Mc]
-    engine over [j] domains, optionally with partial-order reduction
-    ([por]) and/or process-id symmetry reduction ([symmetry]; requires
-    [`Parallel]). The occupancy monitor is note-driven, so POR
+(** [engine] selects the explorer: [`Parallel j] runs the [Mc]
+    engine over [j] domains ([`Parallel 1] by default), optionally with
+    partial-order reduction ([por]) and/or process-id symmetry
+    reduction ([symmetry]; requires [`Parallel]); [`Dfs] is the
+    historical sequential {!Memsim.Explore.dfs}, kept as the parity
+    reference. The occupancy monitor is note-driven, so POR
     preserves its verdicts while visiting fewer states. Symmetry does
     {e not}: the lock workloads are only near-symmetric (pid-dependent
     tie-breaks live in program text, outside the canonical key), so

@@ -15,7 +15,9 @@ let () =
   (* one lock check across engines, POR on and off *)
   let factory = Option.get (Locks.Registry.find "peterson") in
   let model = Memory_model.Pso in
-  let reference = Verify.Mutex_check.check ~model factory ~nprocs:2 in
+  let reference =
+    Verify.Mutex_check.check ~engine:`Dfs ~model factory ~nprocs:2
+  in
   List.iter
     (fun (engine, por) ->
       let v = Verify.Mutex_check.check ~engine ~por ~model factory ~nprocs:2 in
@@ -39,7 +41,7 @@ let () =
   let sb =
     List.find (fun t -> t.Litmus.Test.name = "SB") Litmus.Cases.all
   in
-  let r0 = Litmus.Test.run sb ~model:Memory_model.Tso in
+  let r0 = Litmus.Test.run ~engine:`Dfs sb ~model:Memory_model.Tso in
   let r1 = Litmus.Test.run ~engine:(`Parallel 2) sb ~model:Memory_model.Tso in
   let r2 =
     Litmus.Test.run ~engine:(`Parallel 2) ~por:true sb ~model:Memory_model.Tso

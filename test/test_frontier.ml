@@ -1,7 +1,8 @@
 (* Frontier machinery tests: Chase–Lev deque semantics (owner LIFO,
    thief FIFO, growth, cross-domain conservation), distributed
    termination of the work-stealing frontier with 1 and 8 workers, and
-   the batched two-phase visited-set probe. *)
+   the flat visited set's claims (zero lanes, growth, a two-domain
+   race). *)
 
 open Mc
 
@@ -182,21 +183,35 @@ let frontier_stop_releases () =
     (consumed >= 0 && consumed <= 2)
 
 (* ------------------------------------------------------------------ *)
-(* Visited: batched two-phase probe                                    *)
+(* Visited: flat open-addressing claims                                *)
 (* ------------------------------------------------------------------ *)
 
 let fp i = { Fingerprint.a = (i * 0x9e3779b9) lxor 0x5bd1e995; b = i }
 
-let visited_add_batch () =
+(* Fingerprints with a zero lane can only be claimed on the locked
+   path ((0, 0) lives in a per-shard flag, not in a slot), so the
+   tests mix them in with ordinary ones. *)
+let zero_lane_fps n =
+  { Fingerprint.a = 0; b = 0 }
+  :: List.concat_map
+       (fun i -> [ { Fingerprint.a = 0; b = i }; { Fingerprint.a = i; b = 0 } ])
+       (List.init n (fun i -> i + 1))
+
+let sorted_members v =
+  let acc = ref [] in
+  Visited.iter v (fun x -> acc := x :: !acc);
+  List.sort Fingerprint.compare !acc
+
+let visited_claims () =
   let v = Visited.create ~shards:8 ~expected_states:1_000 () in
   Alcotest.(check bool) "first add wins" true (Visited.add v (fp 0));
   Alcotest.(check bool) "second add loses" false (Visited.add v (fp 0));
-  let wins = Visited.add_batch v [| fp 1; fp 1; fp 2; fp 0; fp 3 |] in
-  Alcotest.(check (array bool))
-    "batch: fresh won once, dup and visited lost"
-    [| true; false; true; false; true |]
+  let wins = List.map (Visited.add v) [ fp 1; fp 1; fp 2; fp 0; fp 3 ] in
+  Alcotest.(check (list bool))
+    "fresh won once, dup and visited lost"
+    [ true; false; true; false; true ]
     wins;
-  Alcotest.(check bool) "batched entries are members" true
+  Alcotest.(check bool) "claimed entries are members" true
     (Visited.mem v (fp 1) && Visited.mem v (fp 2) && Visited.mem v (fp 3));
   Alcotest.(check bool) "unseen is not a member" false (Visited.mem v (fp 42));
   Alcotest.(check int) "size counts distinct" 4 (Visited.size v);
@@ -206,25 +221,51 @@ let visited_add_batch () =
   Alcotest.(check bool) "max >= mean >= 0" true
     (float_of_int s.Visited.max_occupancy >= s.Visited.mean_occupancy
     && s.Visited.mean_occupancy >= 0.);
-  Alcotest.(check bool) "skew >= 1 when non-empty" true (s.Visited.skew >= 1.)
+  Alcotest.(check bool) "skew >= 1 when non-empty" true (s.Visited.skew >= 1.);
+  (* zero lanes, (0, 0) included, claim and answer like any other *)
+  let zs = zero_lane_fps 3 in
+  Alcotest.(check bool) "zero-lane first adds win" true
+    (List.for_all (Visited.add v) zs);
+  Alcotest.(check bool) "zero-lane second adds lose" false
+    (List.exists (Visited.add v) zs);
+  Alcotest.(check bool) "zero-lane entries are members" true
+    (List.for_all (Visited.mem v) zs);
+  Alcotest.(check bool) "unseen zero-lane is not a member" false
+    (Visited.mem v { Fingerprint.a = 0; b = 9 }
+    || Visited.mem v { Fingerprint.a = 9; b = 0 });
+  Alcotest.(check int) "size with zero lanes" (4 + List.length zs)
+    (Visited.size v);
+  (* growth from the smallest table: one shard, no size hint *)
+  let g = Visited.create ~shards:1 () in
+  let fps = List.init 10_000 fp @ zs in
+  Alcotest.(check bool) "every insert across growth wins" true
+    (List.for_all (Visited.add g) fps);
+  Alcotest.(check bool) "every entry survives growth" true
+    (List.for_all (Visited.mem g) fps && not (List.exists (Visited.add g) fps));
+  Alcotest.(check int) "size after growth" (List.length fps) (Visited.size g);
+  Alcotest.(check bool) "iter yields exactly the inserted set" true
+    (sorted_members g = List.sort Fingerprint.compare fps)
 
-(* Two domains racing the same batch: each fingerprint is won exactly
-   once across both. *)
-let visited_batch_race () =
-  let v = Visited.create ~shards:16 () in
-  let fps = Array.init 5_000 fp in
-  let claim () = Visited.add_batch v fps in
+(* Two domains racing the same claims over a two-shard set that starts
+   at its smallest tables and must double several times mid-race, with
+   zero-lane fingerprints and (0, 0) among them: each fingerprint is
+   won exactly once across both, and [size] and [iter] are exact after
+   the join. *)
+let visited_claim_race () =
+  let v = Visited.create ~shards:2 () in
+  let fps = Array.of_list (List.init 20_000 fp @ zero_lane_fps 500) in
+  let claim () = Array.map (Visited.add v) fps in
   let other = Domain.spawn claim in
   let mine = claim () in
   let theirs = Domain.join other in
   Array.iteri
     (fun i _ ->
-      Alcotest.(check bool)
-        (Printf.sprintf "fp %d won exactly once" i)
-        true
-        (mine.(i) <> theirs.(i)))
+      if mine.(i) = theirs.(i) then
+        Alcotest.failf "fp %d won %s" i (if mine.(i) then "twice" else "never"))
     fps;
-  Alcotest.(check int) "all present" (Array.length fps) (Visited.size v)
+  Alcotest.(check int) "size exact" (Array.length fps) (Visited.size v);
+  Alcotest.(check bool) "iter exact" true
+    (sorted_members v = List.sort Fingerprint.compare (Array.to_list fps))
 
 let suite =
   ( "frontier",
@@ -239,7 +280,7 @@ let suite =
         frontier_terminates_8_workers;
       Alcotest.test_case "frontier: stop releases sleepers" `Quick
         frontier_stop_releases;
-      Alcotest.test_case "visited: batched claims" `Quick visited_add_batch;
+      Alcotest.test_case "visited: batched claims" `Quick visited_claims;
       Alcotest.test_case "visited: racing batches split wins" `Quick
-        visited_batch_race;
+        visited_claim_race;
     ] )

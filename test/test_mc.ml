@@ -26,7 +26,7 @@ let litmus_parity_engines () =
     (fun test ->
       List.iter
         (fun model ->
-          let reference = Litmus.Test.run test ~model in
+          let reference = Litmus.Test.run ~engine:`Dfs test ~model in
           List.iter
             (fun jobs ->
               let label =
@@ -48,7 +48,7 @@ let litmus_por_preserves_outcomes () =
     (fun test ->
       List.iter
         (fun model ->
-          let reference = Litmus.Test.run test ~model in
+          let reference = Litmus.Test.run ~engine:`Dfs test ~model in
           let r =
             Litmus.Test.run ~engine:(`Parallel 2) ~por:true test ~model
           in
@@ -84,7 +84,7 @@ let locks_parity_engines () =
       List.iter
         (fun model ->
           let reference =
-            Verify.Mutex_check.check ~model (lock name) ~nprocs
+            Verify.Mutex_check.check ~engine:`Dfs ~model (lock name) ~nprocs
           in
           List.iter
             (fun jobs ->
@@ -110,7 +110,9 @@ let locks_parity_engines () =
    engine) but the one that matters. *)
 let bakery3_parity () =
   let model = Memory_model.Pso in
-  let reference = Verify.Mutex_check.check ~model (lock "bakery") ~nprocs:3 in
+  let reference =
+    Verify.Mutex_check.check ~engine:`Dfs ~model (lock "bakery") ~nprocs:3
+  in
   let v =
     Verify.Mutex_check.check ~engine:(`Parallel 1) ~model (lock "bakery")
       ~nprocs:3
@@ -128,7 +130,7 @@ let locks_por_preserves_verdicts () =
       List.iter
         (fun model ->
           let reference =
-            Verify.Mutex_check.check ~model (lock name) ~nprocs
+            Verify.Mutex_check.check ~engine:`Dfs ~model (lock name) ~nprocs
           in
           let v =
             Verify.Mutex_check.check ~engine:(`Parallel 2) ~por:true ~model

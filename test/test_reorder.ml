@@ -157,6 +157,30 @@ let below_saturation_never_plain_ok () =
   in
   Alcotest.(check bool) "unbounded finds it" false unb.Verify.Mutex_check.holds
 
+let truncated_never_plain_ok () =
+  (* the fenced bakery holds, but a run stopped by its state cap has
+     not shown it: the clean pass must say what it saw, not OK *)
+  List.iter
+    (fun (symmetry, expect) ->
+      let v =
+        Verify.Mutex_check.check ~max_states:500 ~symmetry
+          ~model:Memory_model.Pso (lock "bakery") ~nprocs:2
+      in
+      Alcotest.(check bool) "truncated" true
+        v.Verify.Mutex_check.stats.Explore.truncated;
+      Alcotest.(check bool) "no violation found" true
+        v.Verify.Mutex_check.holds;
+      let rendered = Fmt.str "%a" Verify.Mutex_check.pp_verdict v in
+      Alcotest.(check bool) ("says " ^ expect) true
+        (contains rendered (expect ^ " ("));
+      Alcotest.(check bool) "says truncated" true
+        (contains rendered " states, truncated)");
+      Alcotest.(check bool) "never plain OK" false (contains rendered ": OK"))
+    [
+      (false, ": NO VIOLATION FOUND");
+      (true, ": NO VIOLATION FOUND (symmetry-reduced subset)");
+    ]
+
 let symmetry_and_bound_are_exclusive () =
   Alcotest.check_raises "rejected"
     (Invalid_argument
@@ -370,6 +394,8 @@ let suite =
         fenced_bakery_saturates_at_k0;
       Alcotest.test_case "below saturation never prints plain OK" `Quick
         below_saturation_never_plain_ok;
+      Alcotest.test_case "a truncated run never prints plain OK" `Quick
+        truncated_never_plain_ok;
       Alcotest.test_case "symmetry and reorder bound are exclusive" `Quick
         symmetry_and_bound_are_exclusive;
       Alcotest.test_case "deepen = exact engine on the ablation corpus" `Slow
