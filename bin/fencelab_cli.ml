@@ -55,15 +55,24 @@ let lock_t =
 let nprocs_t =
   Arg.(value & opt int 4 & info [ "n"; "nprocs" ] ~docv:"N" ~doc:"Process count.")
 
+let positive_int_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some j when j >= 1 -> Ok j
+    | _ -> Error (`Msg (Fmt.str "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let jobs_t =
   Arg.(
     value
-    & opt int 1
+    & opt positive_int_conv 1
     & info [ "j"; "jobs" ] ~docv:"J"
         ~doc:
-          "Exploration domains: J >= 1 (default 1) runs the parallel engine \
-           with J domains; 0 selects the historical sequential DFS, kept as \
-           the parity reference.")
+          "Domains, J >= 1 (default 1). $(b,check) and $(b,litmus) explore \
+           with J domains; $(b,fuzz) runs its engine-parity oracle at 1, 2 \
+           and 4 domains up to J; $(b,synth) fans its oracle calls out over \
+           J domains.")
 
 let por_t =
   Arg.(
@@ -71,8 +80,7 @@ let por_t =
     & flag
     & info [ "por" ]
         ~doc:
-          "Partial-order reduction (safe-step persistent sets); implies the \
-           parallel engine (1 domain unless $(b,--jobs) says otherwise).")
+          "Partial-order reduction (safe-step persistent sets).")
 
 let no_compile_t =
   Arg.(
@@ -92,12 +100,11 @@ let symmetry_t =
     & info [ "symmetry" ]
         ~doc:
           "Process-id symmetry reduction (canonical fingerprints over pid \
-           orbits); implies the parallel engine (1 domain unless \
-           $(b,--jobs) says otherwise). Complete only for fully \
-           pid-symmetric programs; the lock workloads embed pid \
-           tie-breaks, so exploration is an under-approximation: any \
-           violation reported is real, but a clean check is reported as \
-           'OK (symmetry-reduced subset)', not a proof of correctness.")
+           orbits). Complete only for fully pid-symmetric programs; the \
+           lock workloads embed pid tie-breaks, so exploration is an \
+           under-approximation: any violation reported is real, but a \
+           clean check is reported as 'OK (symmetry-reduced subset)', not \
+           a proof of correctness.")
 
 (* --reorder-bound K | deepen: the reorder-bounded under-approximation
    (fixed budget) or iterative deepening until violation/saturation. *)
@@ -138,14 +145,6 @@ let reorder_bound_t =
            and stays exact. $(b,deepen) starts at 0 and widens the bound \
            until a violation or saturation, resuming the visited set \
            between levels. Exclusive with $(b,--symmetry).")
-
-(* --jobs/--por/--symmetry to an Mc engine selection: the reductions
-   are Mc features, so requesting either routes through the parallel
-   engine even at J=0. *)
-let engine_of ?(symmetry = false) ~jobs ~por () : Mc.engine =
-  if jobs >= 1 then `Parallel jobs
-  else if por || symmetry then `Parallel 1
-  else `Dfs
 
 (* --- observability ------------------------------------------------ *)
 
@@ -308,13 +307,12 @@ let check_cmd =
   let run (name, factory) model nprocs rounds max_states trace jobs por
       symmetry reorder_bound no_compile progress interval stats_out =
    protect @@ fun () ->
-    let engine = engine_of ~symmetry ~jobs ~por () in
     with_telemetry ~progress ~interval ~stats_out ~workers:jobs ~label:"check"
     @@ fun tel finish ->
     let v =
       Verify.Mutex_check.check ~tel ~compile:(not no_compile) ~rounds
-        ~max_states ~engine ~por ~symmetry ?reorder_bound ~model factory
-        ~nprocs
+        ~max_states ~engine:(`Parallel jobs) ~por ~symmetry ?reorder_bound
+        ~model factory ~nprocs
     in
     let level_records =
       List.map
@@ -435,7 +433,7 @@ let litmus_cmd =
    protect @@ fun () ->
     (* no --symmetry here: litmus verdicts project per-pid outcomes,
        which orbit merging would conflate *)
-    let engine = engine_of ~jobs ~por () in
+    let engine = `Parallel jobs in
     let models, sweeping =
       match model with
       | Some m ->
@@ -567,9 +565,7 @@ let fuzz_cmd =
       interval stats_out =
    protect @@ fun () ->
     let params = { Fuzz.Gen.procs; len; nregs = regs; values } in
-    let jobs_list =
-      List.filter (fun j -> j <= max 1 jobs) [ 1; 2; 4 ]
-    in
+    let jobs_list = List.filter (fun j -> j <= jobs) [ 1; 2; 4 ] in
     let config =
       { Fuzz.Oracle.default_config with model; jobs = jobs_list }
     in
@@ -689,7 +685,6 @@ let synth_cmd =
   let run family litmus model nprocs rounds max_states strategy jobs progress
       interval stats_out frontier_out =
    protect @@ fun () ->
-    let jobs = max 1 jobs in
     let problem =
       match (family, litmus) with
       | Some _, Some _ -> Error "--family and --litmus are mutually exclusive"

@@ -7,6 +7,9 @@
     - {!Oracle}: the differential oracles (model nesting across the
       buffered and view-based halves of the zoo, engine parity, fence
       saturation, random-schedule soundness, bounded saturation);
+    - {!Reference}: the exact reference explorer — a breadth-first
+      search over structural keys with no hash lanes — that engine
+      parity, here and in the test suites, checks [Mc] against;
     - {!Shrink}: size-directed minimization of violating programs;
     - {!Render}: litmus renderings and replayable artifacts.
 
@@ -21,6 +24,7 @@ module Gen = Gen
 module Shrink = Shrink
 module Oracle = Oracle
 module Render = Render
+module Reference = Reference
 
 type finding = {
   violation : Oracle.violation;

@@ -9,9 +9,9 @@
        contained in TSO's, and TSO's in PSO's (via
        {!Litmus.Test.separation}); the operational content of the
        paper's SC ⊆ TSO ⊆ PSO behaviour inclusion.
-    2. {b engine parity} — [Explore.dfs], [Mc.run ~engine:(`Parallel j)]
-       and the POR-on run agree on the outcome set under the checked
-       model.
+    2. {b engine parity} — [Mc.run ~engine:(`Parallel j)] and the
+       POR-on run reach the outcome set of the lane-free structural
+       reference explorer ({!Reference}) under the checked model.
     3. {b fence saturation} — a fence after every write collapses the
        TSO and PSO outcome sets onto SC's (fence insertion, made
        operational).
@@ -111,17 +111,22 @@ let check ?(config = default_config) prog : verdict =
     nesting "SC⊆SRA" ~stronger:sc ~weaker:sra;
     nesting "SRA⊆RA" ~stronger:sra ~weaker:ra;
     (* oracle 2: engine parity under the configured model, against
-       the string-keyed sequential explorer *)
+       the structural reference explorer *)
     let reference =
-      run ~engine:`Dfs test
-        ~model:
-          (match config.model with
-          | Memory_model.Rmo -> Memory_model.Pso
-          | m -> m)
+      let model =
+        match config.model with Memory_model.Rmo -> Memory_model.Pso | m -> m
+      in
+      let r = Reference.litmus ~max_states:config.max_states test ~model in
+      if r.Litmus.Test.stats.Explore.truncated then
+        raise
+          (Skip
+             (Fmt.str "truncated at %d states under %a" config.max_states
+                Memory_model.pp model));
+      r
     in
     let parity tag r =
       if outcomes r <> outcomes reference then
-        fail ("parity:" ^ tag) "dfs %a vs %s %a" pp_outcomes
+        fail ("parity:" ^ tag) "reference %a vs %s %a" pp_outcomes
           (outcomes reference) tag pp_outcomes (outcomes r)
     in
     List.iter
@@ -158,14 +163,7 @@ let check ?(config = default_config) prog : verdict =
       [ Memory_model.Ra; Memory_model.Sra ];
     (* oracle 4: random schedules only reach exhaustive outcomes *)
     let regs, _ = Litmus.Test.configure test ~model:config.model in
-    let observe final =
-      {
-        Litmus.Test.returns =
-          List.init (Config.nprocs final) (fun p ->
-              Option.value ~default:(-1) (Config.final_value final p));
-        finals = List.map (Config.read_mem final) (test.Litmus.Test.observed regs);
-      }
-    in
+    let observe = Litmus.Test.outcome test regs in
     List.iter
       (fun (model, exh) ->
         let _, cfg = Litmus.Test.configure test ~model in
@@ -208,7 +206,7 @@ let check ?(config = default_config) prog : verdict =
         None
       in
       let r =
-        Mc.run ~engine:`Dfs ~max_states:config.max_states ~check:watch
+        Mc.run ~max_states:config.max_states ~check:watch
           ~monitor:(fun () _ -> Stdlib.Ok ())
           ~init:() cfg
       in

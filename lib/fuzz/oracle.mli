@@ -1,12 +1,13 @@
 (** The seven differential oracles: model nesting (SC ⊆ TSO ⊆ PSO and
-    SC ⊆ SRA ⊆ RA), engine parity (dfs / parallel / POR), fence
-    saturation (fences after every write collapse buffered models onto
-    SC; fences around every instruction collapse the view-based RA/SRA
-    models too), random-schedule soundness (under every model,
-    view-based included), and bounded saturation (a reorder bound at
-    least the max buffer occupancy certifies saturation and matches
-    the unbounded outcome set byte-for-byte). See the implementation
-    header for the precise claims. *)
+    SC ⊆ SRA ⊆ RA), engine parity (parallel and POR runs against the
+    structural reference explorer), fence saturation (fences after
+    every write collapse buffered models onto SC; fences around every
+    instruction collapse the view-based RA/SRA models too),
+    random-schedule soundness (under every model, view-based included),
+    and bounded saturation (a reorder bound at least the max buffer
+    occupancy certifies saturation and matches the unbounded outcome
+    set byte-for-byte). See the implementation header for the precise
+    claims. *)
 
 open Memsim
 

@@ -51,24 +51,27 @@ let configure ?compile test ~model =
   let regs = Array.init test.nregs Fun.id in
   (regs, Config.make ?compile ~model ~layout (test.programs regs))
 
+(** The outcome of a final configuration: per-process return values
+    ([-1] for a process that has not returned), then the committed
+    values of the observed registers. [regs] is {!configure}'s. *)
+let outcome test regs final =
+  {
+    returns =
+      List.init (Config.nprocs final) (fun p ->
+          Option.value ~default:(-1) (Config.final_value final p));
+    finals = List.map (Config.read_mem final) (test.observed regs);
+  }
+
 (** Enumerate all reachable outcomes of [test] under [model]. [engine]
-    selects the explorer ([`Parallel j] for the multicore engine,
-    [`Parallel 1] by default; [`Dfs] for the historical reference
-    explorer); [por] enables partial-order reduction, which
+    sets the domain count of the [Mc] engine ([`Parallel 1] by
+    default); [por] enables partial-order reduction, which
     preserves the outcome set (all quiescent states are still reached)
     while visiting fewer states. [tel] plugs a {!Telemetry.Hub.t} into
     the exploration for live progress and stats (see {!Mc.run}). *)
 let run ?tel ?compile ?max_states ?engine ?por ?reorder_bound test ~model : run
     =
   let regs, cfg = configure ?compile test ~model in
-  let observe final =
-    {
-      returns =
-        List.init (Config.nprocs final) (fun p ->
-            Option.value ~default:(-1) (Config.final_value final p));
-      finals = List.map (Config.read_mem final) (test.observed regs);
-    }
-  in
+  let observe = outcome test regs in
   match reorder_bound with
   | None ->
       let outcomes, result =
@@ -101,9 +104,7 @@ let run ?tel ?compile ?max_states ?engine ?por ?reorder_bound test ~model : run
       (* deepening a litmus enumeration always saturates (the bound
          stops climbing only at saturation or truncation), so the
          final outcome set is the full one unless truncated *)
-      let jobs =
-        match engine with Some (`Parallel j) -> j | Some `Dfs | None -> 1
-      in
+      let jobs = match engine with Some (`Parallel j) -> j | None -> 1 in
       let outcomes, d =
         Mc.deepen_outcomes ?tel ~jobs ?por ?max_states ~observe cfg
       in

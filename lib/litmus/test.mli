@@ -36,15 +36,19 @@ type run = {
 val configure :
   ?compile:bool -> t -> model:Memory_model.t -> Reg.t array * Config.t
 
-(** Enumerate all reachable outcomes under the model. [engine] selects
-    the explorer ([`Parallel j] for the multicore engine, [`Parallel 1]
-    by default; [`Dfs] for the historical reference explorer); [por]
-    preserves the outcome set while visiting fewer
+(** The outcome of a final configuration: per-process return values
+    ([-1] for a process that has not returned), then the committed
+    values of the observed registers. The register array is
+    {!configure}'s. *)
+val outcome : t -> Reg.t array -> Config.t -> outcome
+
+(** Enumerate all reachable outcomes under the model. [engine] sets
+    the domain count of the [Mc] engine ([`Parallel 1] by default);
+    [por] preserves the outcome set while visiting fewer
     states. [tel] plugs a {!Telemetry.Hub.t} into the exploration for
     live progress and stats (see {!Mc.run}). [reorder_bound] restricts
     the enumeration to executions within a reorder budget ([`K k]) or
-    iteratively deepens until the set saturates ([`Deepen], which
-    under [`Dfs] deepens on one domain). *)
+    iteratively deepens until the set saturates ([`Deepen]). *)
 val run :
   ?tel:Telemetry.Hub.t -> ?compile:bool ->
   ?max_states:int -> ?engine:Mc.engine -> ?por:bool ->

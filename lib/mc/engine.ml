@@ -1,6 +1,6 @@
 (** The model-checking engine: work-stealing parallel exploration with
-    optional partial-order and symmetry reduction, subsuming
-    {!Memsim.Explore.dfs} as its 1-domain special case.
+    optional partial-order and symmetry reduction. At one domain it is
+    the repository's sequential explorer too.
 
     Architecture:
 
@@ -31,16 +31,14 @@
       replay deterministically regardless of domain count or visit
       order.
 
-    Parity with [Explore.dfs] ([`Parallel j], [por:false],
-    [symmetry:false]): same states, transitions, deadlocks and
-    verdict {e sets} on any run that completes within its bounds —
-    both claim every distinct normalized state exactly once, expand
-    each claimed state exactly once, and count one transition per
-    successor element of each expanded state. Claiming at creation
-    changes the {e discovery order} of violations relative to the
-    historical entry-time dedup (children are monitored before their
-    subtrees are explored), so on runs with multiple violations the
-    list may be ordered differently; the set is the same. Once a
+    Counts ([`Parallel j], [por:false], [symmetry:false]): on any run
+    that completes within its bounds, the states, transitions,
+    deadlocks and verdict {e sets} do not depend on [j] or on visit
+    order — every distinct normalized state is claimed exactly once
+    and expanded exactly once, and one transition is counted per
+    successor element of each expanded state. The structural
+    reference explorer [Fuzz.Reference] counts the same way, without
+    the fingerprints, and the parity suites compare the two. Once a
     bound truncates the run, visit order determines which part of the
     graph was seen, so truncated runs agree only on the [truncated]
     flag.
@@ -52,7 +50,7 @@
 
 open Memsim
 
-type engine = [ `Dfs | `Parallel of int ]
+type engine = [ `Parallel of int ]
 
 type 'm task = {
   cfg : Config.t;  (** normalized: labels flushed *)
@@ -176,8 +174,8 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
       (Memory_model.to_string cfg0.Config.model);
   (match bound with
   | Some _ when Memory_model.view_based cfg0.Config.model ->
-      (* same rejection as Explore.dfs: the budget meters overtaken
-         buffer entries, which view-based models don't have *)
+      (* the budget meters overtaken buffer entries, which view-based
+         models don't have *)
       Fmt.invalid_arg
         "Mc.run: ~reorder_bound is not supported under %s (view-based models \
          have no write buffer to meter)"
@@ -389,10 +387,8 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
      monitor every chosen edge, normalize and monitor each child, then
      claim the children in the visited set. Returns the claim winners
      in exploration order (first child first); only they become
-     tasks. Mirrors Explore.dfs edge for edge — the same
-     elements are executed, the same notes monitored, each distinct
-     normalized state claimed once — with dedup moved from child entry
-     to child creation. *)
+     tasks. Every element is executed and its notes monitored, and
+     each distinct normalized state is claimed once, at creation. *)
   let expand w (t : m task) : m task list =
     if
       Atomic.get states >= max_states
@@ -431,9 +427,8 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
         end
         else begin
           (* Build one normalized, note-monitored candidate per edge.
-             Dedup happens after — so exactly like the historical
-             entry-time dedup, duplicate children still have their
-             edge steps and flush notes monitored (violations on
+             Dedup happens after, so duplicate children still have
+             their edge steps and flush notes monitored (violations on
              duplicate paths are real verdicts). *)
           let child elt ((steps, cfg', d) : Step.t list * Config.t * Exec.dirty)
               =
@@ -572,7 +567,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
   (* Worker [w]: depth-first with the next task "in hand" — the first
      child continues immediately, the siblings go to the bottom of our
      own deque (in reverse, so the earliest sibling is popped back
-     first and one domain walks the graph in Explore.dfs claim order).
+     first and one domain walks the graph in depth-first claim order).
      Thieves steal shallow tasks from the top on their own; no
      explicit sharing heuristic is needed. Children are registered
      before their parent completes, so [pending] reaches zero only
@@ -636,9 +631,9 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
       Frontier.stop frontier
   in
   (* The root is normalized, monitored and claimed like any other
-     state (Explore.dfs treats its initial entry identically). With
-     [seeds] (a deepening resume) the root was claimed at level 0 —
-     the seeds are already-claimed boundary tasks to re-expand. *)
+     state. With [seeds] (a deepening resume) the root was claimed at
+     level 0 — the seeds are already-claimed boundary tasks to
+     re-expand. *)
   let tasks =
     match (seeds, resume) with
     | Some tasks, _ -> tasks
@@ -672,7 +667,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
   | first :: rest ->
       Frontier.register frontier (1 + List.length rest);
       if jobs = 1 then (
-        (* run in the calling domain: deterministic Explore.dfs claim
+        (* run in the calling domain: deterministic depth-first claim
            order — extra seeds go to our own deque, reversed so the
            earliest is popped back first *)
         if rest <> [] then Frontier.inject frontier ~worker:0 (List.rev rest);
@@ -728,21 +723,11 @@ let run (type m) ?tel ?(engine : engine = `Parallel 1) ?(por = false)
     ~(monitor : m -> Step.t -> (m, string) Stdlib.result) ~(init : m)
     ?(on_final = fun (_ : Config.t) (_ : m) -> ()) (cfg0 : Config.t) :
     m Explore.result =
-  match engine with
-  | `Dfs ->
-      (* the historical string-keyed sequential checker, kept as the
-         parity reference; [por] and [symmetry] do not apply *)
-      if symmetry then
-        Fmt.invalid_arg "Mc.run: ~symmetry:true requires `Parallel";
-      if checkpoint <> None || resume <> None then
-        invalid_arg "Mc.run: ~checkpoint/~resume require `Parallel 1";
-      Explore.dfs ?tel ~max_states ~max_depth ~max_violations ~max_deadlocks
-        ?reorder_bound ~check ~monitor ~init ~on_final cfg0
-  | `Parallel jobs ->
-      run_parallel ~tel ~jobs ~por ~symmetry ~expected_states ~report_visited
-        ~max_states ~max_depth ~max_violations ~max_deadlocks
-        ~bound:reorder_bound ~on_boundary:None ~visited_in:None ~seeds:None
-        ~checkpoint ~resume ~check ~monitor ~init ~on_final cfg0
+  let (`Parallel jobs) = engine in
+  run_parallel ~tel ~jobs ~por ~symmetry ~expected_states ~report_visited
+    ~max_states ~max_depth ~max_violations ~max_deadlocks ~bound:reorder_bound
+    ~on_boundary:None ~visited_in:None ~seeds:None ~checkpoint ~resume ~check
+    ~monitor ~init ~on_final cfg0
 
 (** Exploration without a monitor: just reachability. *)
 let run_plain ?tel ?engine ?por ?symmetry ?expected_states ?max_states
@@ -754,8 +739,8 @@ let run_plain ?tel ?engine ?por ?symmetry ?expected_states ?max_states
     ~init:() ?on_final cfg
 
 (** Reachable quiescent-state projections under [observe], sorted, plus
-    the exploration result. Mirrors {!Memsim.Explore.reachable_outcomes};
-    [on_final] mutation is serialized by the engine. *)
+    the exploration result; [on_final] mutation is serialized by the
+    engine. *)
 let reachable_outcomes ?tel ?engine ?por ?symmetry ?max_states ?max_depth
     ?reorder_bound ~observe cfg =
   let outcomes = Hashtbl.create 16 in

@@ -1,16 +1,17 @@
-(** Parallel, reduction-aware model-checking engine. [`Parallel j]
-    (the default at [j = 1]) explores with [j] domains over per-worker
-    work-stealing deques and a fingerprint-sharded visited set,
-    optionally under partial-order reduction ([por], {!Por}) and
-    process-id symmetry reduction ([symmetry], {!Symmetry}). [`Dfs]
-    delegates to the historical string-keyed {!Memsim.Explore.dfs},
-    kept as the parity reference. See the implementation header for
-    the parity guarantees with the sequential checker and the
-    thread-safety contract of the hooks. *)
+(** Parallel, reduction-aware model-checking engine — the repository's
+    one explorer. [`Parallel j] (the default at [j = 1]) explores with
+    [j] domains over per-worker work-stealing deques and a
+    fingerprint-sharded visited set, optionally under partial-order
+    reduction ([por], {!Por}) and process-id symmetry reduction
+    ([symmetry], {!Symmetry}). See the implementation header for the
+    count guarantees across domain counts and the thread-safety
+    contract of the hooks; [Fuzz.Reference] is the lane-free explorer
+    the parity suites check it against. *)
 
 open Memsim
 
-type engine = [ `Dfs | `Parallel of int ]
+(** The domain count; [j >= 1]. *)
+type engine = [ `Parallel of int ]
 
 (** A frontier-consistent cut of a [`Parallel 1] exploration, as plain
     data: every pending task as its path from the root (in pop order,
@@ -31,12 +32,22 @@ type checkpoint = {
   ck_deadlocks : Exec.elt list list;
 }
 
-(** Drop-in counterpart of {!Memsim.Explore.dfs} (same hooks, bounds
-    and result type). [engine] defaults to [`Parallel 1]: one domain,
-    deterministic, the same states, transitions and verdicts as
-    [`Dfs]. [por] and [symmetry] apply only to [`Parallel];
-    [check] and [monitor] must be pure under [`Parallel]; [on_final]
-    is serialized internally. With [por] the states/transitions counts
+(** Explore every interleaving of op and commit steps from a
+    configuration, deduplicating normalized states (labels flushed).
+    [monitor] folds over the steps of every explored edge (e.g.
+    critical-section occupancy from notes); its state must be a
+    function of the state key, or deduplication could skip
+    transitions. [check] is an invariant evaluated once per claimed
+    state; [Some msg] records a violation with the reproducing
+    schedule. [on_final] fires once per claimed quiescent state.
+    [max_states] (default 1,000,000) and [max_depth] (default 100,000)
+    bound the run, which is then marked truncated; [max_violations]
+    (default 3) stops it too; [max_deadlocks] caps how many deadlock
+    paths are kept (default: all).
+
+    [engine] defaults to [`Parallel 1]: one domain, deterministic.
+    [check] and [monitor] must be pure; [on_final] is serialized
+    internally. With [por] the states/transitions counts
     drop but all deadlocks, quiescent states and note-driven monitor
     verdicts are preserved. With [symmetry] the visited set is keyed
     on canonical (orbit-minimal) fingerprints, so one representative
@@ -45,9 +56,7 @@ type checkpoint = {
     verbatim and replay without de-canonicalization.
     [expected_states] pre-sizes the visited set ({!Visited.create});
     [report_visited] receives the visited set's occupancy statistics
-    when the run finishes (ignored under [`Dfs], which has no sharded
-    set). Raises [Invalid_argument] for [~symmetry:true] under
-    [`Dfs].
+    when the run finishes.
 
     [tel] plugs a {!Telemetry.Hub.t} into the run: the engine
     registers its counters (expansions, children, dedup_hits,
@@ -61,10 +70,17 @@ type checkpoint = {
     discipline guarded by bench-smoke. Counter totals at
     [`Parallel 1] are exactly reproducible run to run.
 
-    [reorder_bound] explores the reorder-bounded under-approximation
-    (see {!Memsim.Explore.dfs}): edges whose successor carries more
-    than [K] reorderings in flight are pruned and counted in
-    [stats.bound_hits]; the per-process overtaken-flag bitsets are
+    [reorder_bound] explores the reorder-bounded under-approximation:
+    an edge whose successor carries more than [K] reorderings in flight
+    (pending writes overtaken by a later op of their owner or by a
+    younger commit — {!Memsim.Config.reorders_in_flight}) is pruned and
+    counted in [stats.bound_hits]. [K = 0] restricts buffered models
+    to their SC-consistent executions; a [K] at least the maximum total
+    buffer occupancy never prunes, so [bound_hits = 0] on a completed
+    run certifies saturation: the verdict is exact. Oldest-first
+    drains never charge, so a bound introduces no new deadlocks. View
+    models have no buffer to meter and reject a bound
+    ([Invalid_argument]). The per-process overtaken-flag bitsets are
     mixed into the visited key ({!Fingerprint.budget_term}), so
     bounded dedup is exact for the bounded transition system. Under
     [por], an over-budget ample step falls back to the full filtered

@@ -3,7 +3,7 @@
     Facade over the subsystem's pieces:
 
     - {!Fingerprint}: 126-bit incremental state fingerprints over the
-      shared {!Memsim.Statekey} component stream;
+      {!Memsim.Statekey} lanes;
     - {!Visited}: sharded concurrent visited set of flat
       open-addressing tables with lock-free racy pre-checks;
     - {!Deque}: Chase–Lev lock-free work-stealing deque;
@@ -11,10 +11,10 @@
     - {!Por}: independence relation and safe-step selection;
     - {!Symmetry}: canonical fingerprints over process-id orbits;
     - {!Replay}: deterministic counterexample replay;
-    - {!Engine} (included here): [Mc.run] and friends, mirroring
-      {!Memsim.Explore.dfs} behind an [?engine] parameter that
-      defaults to [`Parallel 1]; [`Dfs] selects the historical
-      explorer, kept as the parity reference.
+    - {!Engine} (included here): [Mc.run] and friends, the one
+      explorer every check runs on, at [?engine:(`Parallel j)]
+      domains ([`Parallel 1] by default). [Fuzz.Reference] is the
+      lane-free explorer the parity suites check it against.
 
     Entry points:
     [Mc.run ~engine:(`Parallel jobs) ~por:true ~symmetry:true ...],

@@ -1,9 +1,8 @@
-(** Bounded-exhaustive state-space exploration with sound
-    deduplication: every interleaving of op and commit steps, states
-    keyed on committed memory plus per-process observation logs (a
-    process's local state is a function of its observations, programs
-    being deterministic). Spins are primitive, so state spaces of
-    terminating algorithms are finite. *)
+(** The vocabulary of state-space exploration: the statistics and
+    result record every explorer returns, and successor enumeration.
+    The explorers are [Mc.run] and the lane-free reference
+    [Fuzz.Reference]; see the implementation header for the
+    deduplication soundness argument they share. *)
 
 type stats = {
   states : int;  (** distinct states visited *)
@@ -29,75 +28,6 @@ type 'm result = {
   deadlocks : Exec.elt list list;  (** paths to stuck non-final states *)
 }
 
-(** Serializable state key (exposed for tests); alias of
-    {!Statekey.to_string}, which enumerates the key components shared
-    with the parallel checker's fingerprinting. *)
-val state_key : Config.t -> string
-
 (** Elements that can produce a model step right now, including commits
     of finished processes' leftover buffers. *)
 val successor_elts : Config.t -> Exec.elt list
-
-(** Depth-first exploration. The [monitor] folds over every step of
-    every explored edge (e.g. tracking critical-section occupancy from
-    notes); its state must be a function of the state key, or
-    deduplication could skip transitions. [check] is an invariant
-    evaluated once per distinct state; returning [Some msg] records a
-    violation with the reproducing schedule. [on_final] fires once per
-    distinct quiescent state. [max_deadlocks] caps how many deadlock
-    paths are retained (each keeps its whole schedule; the default
-    keeps every one, the historical behaviour).
-
-    [reorder_bound] explores the {e reorder-bounded} under-
-    approximation: an edge whose successor carries more than [K]
-    reorderings in flight (pending writes overtaken by a later op of
-    their owner or by a younger commit — {!Config.reorders_in_flight})
-    is pruned and counted in [stats.bound_hits]. [K = 0] restricts
-    buffered models to their SC-consistent executions; [K ≥] the
-    maximum total buffer occupancy can never prune, so the run equals
-    the unbounded one. The per-process overtaken-flag bitsets join the
-    state key (a budget is path state), so bounded dedup is exact for
-    the bounded transition system and the explored sets are monotone
-    in [K]. [bound_hits = 0] on a completed run certifies saturation:
-    the verdict is exact. Oldest-first drains never charge, so a bound
-    introduces no new deadlocks.
-
-    [tel] plugs a {!Telemetry.Hub.t} into the run: the explorer
-    registers the engine-shared counter vocabulary (expansions,
-    children, dedup_hits, bound_hits) and live gauges (states,
-    transitions, visited) for a {!Telemetry.Sampler} to stream.
-    Without it the bumps land on a private hub — plain int adds on
-    pre-allocated cells, nothing observable. *)
-val dfs :
-  ?tel:Telemetry.Hub.t ->
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?max_violations:int ->
-  ?max_deadlocks:int ->
-  ?reorder_bound:int ->
-  ?check:(Config.t -> string option) ->
-  monitor:('m -> Step.t -> ('m, string) Stdlib.result) ->
-  init:'m ->
-  ?on_final:(Config.t -> 'm -> unit) ->
-  Config.t ->
-  'm result
-
-(** Exploration without a monitor. *)
-val dfs_plain :
-  ?tel:Telemetry.Hub.t ->
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?reorder_bound:int ->
-  ?on_final:(Config.t -> unit) ->
-  Config.t ->
-  unit result
-
-(** Set of reachable quiescent-state projections under [observe],
-    sorted, plus the exploration result. *)
-val reachable_outcomes :
-  ?max_states:int ->
-  ?max_depth:int ->
-  ?reorder_bound:int ->
-  observe:(Config.t -> 'a) ->
-  Config.t ->
-  'a list * unit result

@@ -218,34 +218,6 @@ let equal a b =
               la lb)
        a.logs b.logs
 
-(** Feed the exact store components to [f] as a flat, self-delimiting
-    integer stream — the store's part of {!Statekey.to_string}.
-    Locations in increasing order, messages in log order. *)
-let iter_key t f =
-  Reg.Map.iter
-    (fun r l ->
-      f r;
-      f (Array.length l);
-      Array.iter
-        (fun m ->
-          f m.mid;
-          f m.value;
-          f (Bool.to_int m.rmw);
-          f (View.cardinal m.base);
-          View.iter
-            (fun r' mid ->
-              f r';
-              f mid)
-            m.base)
-        l)
-    t.logs;
-  f (View.cardinal t.sc);
-  View.iter
-    (fun r mid ->
-      f r;
-      f mid)
-    t.sc
-
 let pp ppf t =
   Reg.Map.iter
     (fun r l ->

@@ -67,8 +67,4 @@ val lanes : t -> int * int
 
 val lanes_scratch : t -> int * int
 
-(** Feed the exact store components as a flat integer stream (for
-    {!Statekey.to_string}). *)
-val iter_key : t -> (int -> unit) -> unit
-
 val pp : t Fmt.t

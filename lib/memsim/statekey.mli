@@ -1,21 +1,10 @@
-(** Canonical state-key components shared by the sequential explorer
-    and the parallel checker's fingerprinting. The key is the committed
-    memory (exact) plus, per process, two cached 63-bit hash lanes over
-    its local components (observation log, op count, write-buffer
-    contents, last-read pair, final value) — see the implementation
+(** The incrementally maintained hash lanes over the state-key
+    components: per process, two cached 63-bit lanes over its local
+    components (observation log, op count, write-buffer contents,
+    last-read pair, final value, views); over committed memory (and the
+    modification-log store under the view models), two xor-composed
+    lanes. [Mc.Fingerprint] composes them. See the implementation
     header for the soundness argument and the collision trade-off. *)
-
-(** Feed the key components of a configuration as a flat integer
-    stream: exact committed memory, then per-process cached lanes.
-    O(bound registers + processes); allocates nothing but the
-    closure. *)
-val iter : Config.t -> (int -> unit) -> unit
-
-(** The stream serialized to a byte string — the sequential explorer's
-    hash-table key. Componentwise-equal configurations yield equal
-    strings; distinct ones distinct strings (up to lane collision,
-    ~2^-126 per pair). *)
-val to_string : Config.t -> string
 
 (** Cached local-component lanes of a process state, and their
     from-scratch recomputation (for incrementality tests). *)

@@ -33,7 +33,7 @@ type t = {
     [write_fifo] may create duplicates.
 
     The [overtaken] flag supports the reorder-budget accounting
-    ({!Memsim.Explore}'s [reorder_bound]): a pending write is overtaken
+    ([Mc.run]'s [reorder_bound]): a pending write is overtaken
     once its owner executed a later operation before it committed
     ({!overtake_all}) or a younger write committed past it ({!commit}).
     Flags never feed the state-key lanes or any model-semantic

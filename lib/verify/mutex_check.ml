@@ -65,7 +65,7 @@ let pp_verdict ppf v =
 
 (** Monitor: the set of processes currently inside a critical section;
     errors out the moment two overlap. Monitor state is a function of
-    program positions, as {!Memsim.Explore.dfs} requires. *)
+    program positions, as {!Mc.run} requires. *)
 let cs_monitor occupancy (step : Step.t) =
   match step with
   | Step.Note { p; text = "cs:enter" } ->
@@ -127,16 +127,15 @@ let check ?tel ?compile ?(rounds = 1) ?max_states ?max_depth ?expected_states
     if Config.read_mem final counter <> nprocs * rounds then
       lost_update := true
   in
-  (* `Parallel routes through the Mc engine; `Dfs is the historical
-     sequential explorer. The checker's monitor is note-driven, so
-     POR preserves its verdicts (see Mc.Por). Symmetry guarantees
-     less: the passage loop is shared, but the lock factories embed
-     pid-dependent tie-breaks (bakery's [slot < j]), so the workload
-     is only near-symmetric, the quotient is not closed, and the
-     reduced run explores a subset of the reachable state classes —
-     a reported violation is a real reachable one, but an all-clear
-     is an under-approximation, surfaced in the verdict as
-     "OK (symmetry-reduced subset)" (see Mc.Symmetry). A reorder
+  (* The checker's monitor is note-driven, so POR preserves its
+     verdicts (see Mc.Por). Symmetry guarantees less: the passage loop
+     is shared, but the lock factories embed pid-dependent tie-breaks
+     (bakery's [slot < j]), so the workload is only near-symmetric,
+     the quotient is not closed, and the reduced run explores a
+     subset of the reachable state classes — a reported violation is
+     a real reachable one, but an all-clear is an under-approximation,
+     surfaced in the verdict as "OK (symmetry-reduced subset)" (see
+     Mc.Symmetry). A reorder
      bound is the same kind of under-approximation, except it can
      {e certify its own completeness}: zero bound hits on a completed
      run means nothing was pruned and the verdict is exact. *)
@@ -163,7 +162,7 @@ let check ?tel ?compile ?(rounds = 1) ?max_states ?max_depth ?expected_states
         in
         (r, Some k, exact, [])
     | Some `Deepen ->
-        let jobs = match engine with `Dfs -> 1 | `Parallel j -> j in
+        let (`Parallel jobs) = engine in
         let d =
           Mc.deepen ?tel ~jobs ~por ?expected_states ?report_visited
             ?max_states ?max_depth ~max_violations:1 ~monitor:cs_monitor

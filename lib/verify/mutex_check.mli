@@ -49,12 +49,10 @@ val workload :
   ?compile:bool -> model:Memory_model.t -> Locks.Lock.factory -> nprocs:int ->
   rounds:int -> Locks.Lock.t * Reg.t * Config.t
 
-(** [engine] selects the explorer: [`Parallel j] runs the [Mc]
+(** [engine] sets the domain count: [`Parallel j] runs the [Mc]
     engine over [j] domains ([`Parallel 1] by default), optionally with
     partial-order reduction ([por]) and/or process-id symmetry
-    reduction ([symmetry]; requires [`Parallel]); [`Dfs] is the
-    historical sequential {!Memsim.Explore.dfs}, kept as the parity
-    reference. The occupancy monitor is note-driven, so POR
+    reduction ([symmetry]). The occupancy monitor is note-driven, so POR
     preserves its verdicts while visiting fewer states. Symmetry does
     {e not}: the lock workloads are only near-symmetric (pid-dependent
     tie-breaks live in program text, outside the canonical key), so
@@ -62,17 +60,16 @@ val workload :
     classes — any violation reported is real, but a clean pass is an
     under-approximate verdict, flagged in {!verdict.symmetry} and
     printed as ["OK (symmetry-reduced subset)"]. [expected_states]
-    pre-sizes the parallel engine's visited set; [report_visited]
-    receives its occupancy statistics when the run finishes (ignored
-    under [`Dfs]). [tel] plugs a {!Telemetry.Hub.t} into the run for
-    live progress and NDJSON stats (see {!Mc.run}).
+    pre-sizes the engine's visited set; [report_visited] receives its
+    occupancy statistics when the run finishes. [tel] plugs a
+    {!Telemetry.Hub.t} into the run for live progress and NDJSON stats
+    (see {!Mc.run}).
 
     [reorder_bound] checks the reorder-bounded under-approximation:
     [`K k] with a fixed budget (the verdict records whether the run
     certified saturation and is therefore exact), [`Deepen] with
-    iterative deepening from 0 ({!Mc.deepen}; [`Dfs] deepens on one
-    domain). Mutually exclusive with [symmetry] (raises
-    [Invalid_argument]).
+    iterative deepening from 0 ({!Mc.deepen}). Mutually exclusive with
+    [symmetry] (raises [Invalid_argument]).
 
     [checkpoint]/[resume] pass through to {!Mc.run} (periodic
     frontier-consistent cuts and exact continuation; [`Parallel 1]

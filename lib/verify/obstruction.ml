@@ -29,8 +29,12 @@ let pp_verdict ppf v =
     (Memory_model.to_string v.model)
     v.nprocs
     (match v.counterexample with
-    | None -> "weakly obstruction-free"
-    | Some (p, _) -> Fmt.str "NOT OBSTRUCTION-FREE (p%d strands)" p)
+    | Some (p, _) -> Fmt.str "NOT OBSTRUCTION-FREE (p%d strands)" p
+    | None when v.stats.Explore.truncated ->
+        (* a clean run cut short by its cap has not shown the property:
+           say what it saw, as Mutex_check.pp_verdict does *)
+        "NO VIOLATION FOUND"
+    | None -> "weakly obstruction-free")
     v.stats.Explore.states
     (if v.stats.Explore.truncated then ", truncated" else "")
 
@@ -57,22 +61,28 @@ let stranded cfg =
 let check ?(rounds = 1) ?max_states ?max_depth ~model
     (factory : Locks.Lock.factory) ~nprocs : verdict =
   let lock, _, cfg = Mutex_check.workload ~model factory ~nprocs ~rounds in
-  let offender = ref None in
   let result =
-    Explore.dfs ?max_states ?max_depth ~max_violations:1
+    Mc.run ?max_states ?max_depth ~max_violations:1
       ~check:(fun cfg ->
-        match stranded cfg with
-        | None -> None
-        | Some p ->
-            offender := Some p;
-            Some (Fmt.str "process %d cannot finish solo" p))
+        Option.map
+          (fun p -> Fmt.str "process %d cannot finish solo" p)
+          (stranded cfg))
       ~monitor:(fun () _ -> Ok ())
       ~init:() cfg
   in
+  (* [check] must be pure, so the stranded process is recovered from
+     the violation path: replaying it reaches the checked state *)
   let counterexample =
-    match (result.Explore.violations, !offender) with
-    | v :: _, Some p -> Some (p, v.Explore.path)
-    | _ -> None
+    match result.Explore.violations with
+    | [] -> None
+    | v :: _ -> (
+        let _, final = Mc.Replay.run cfg v.Explore.path in
+        match stranded final with
+        | Some p -> Some (p, v.Explore.path)
+        | None ->
+            failwith
+              "Obstruction.check: the violation path replays to no \
+               stranded process")
   in
   {
     lock_name = lock.Locks.Lock.name;

@@ -351,12 +351,10 @@ let run_config ~flat ~compile ~engine ~por seed params model =
     r.Litmus.Test.stats.Explore.states,
     r.Litmus.Test.stats.Explore.transitions )
 
-let engines = [ (`Dfs, false); (`Parallel 1, false); (`Parallel 1, true) ]
+let engines = [ (`Parallel 1, false); (`Parallel 1, true) ]
 
-let engine_name (e, por) =
-  match e with
-  | `Dfs -> "dfs"
-  | `Parallel j -> Fmt.str "mc j=%d%s" j (if por then "+por" else "")
+let engine_name (`Parallel j, por) =
+  Fmt.str "mc j=%d%s" j (if por then "+por" else "")
 
 (* Every model x engine: the fully compiled build (constructive flat
    emission + compiled configuration) and the raw closure build
@@ -402,13 +400,13 @@ let prop_parity_corners =
       List.for_all
         (fun model ->
           let reference =
-            run_config ~flat:false ~compile:false ~engine:`Dfs ~por:false seed
-              params model
+            run_config ~flat:false ~compile:false ~engine:(`Parallel 1)
+              ~por:false seed params model
           in
           List.for_all
             (fun (flat, compile) ->
-              run_config ~flat ~compile ~engine:`Dfs ~por:false seed params
-                model
+              run_config ~flat ~compile ~engine:(`Parallel 1) ~por:false seed
+                params model
               = reference)
             [ (true, true); (true, false); (false, true) ])
         [ Memory_model.Sc; Memory_model.Pso; Memory_model.Ra ])

@@ -322,6 +322,31 @@ let obstruction_checker_catches_handshakes () =
   Alcotest.(check bool) "counterexample produced" true
     (v.Verify.Obstruction.counterexample <> None)
 
+(* A clean run cut short by its state cap has not shown the property:
+   the verdict says what it saw, as Mutex_check's does, never "weakly
+   obstruction-free". *)
+let obstruction_truncated_says_so () =
+  let v =
+    Verify.Obstruction.check ~model:Memory_model.Pso ~max_states:2_000
+      (lock "bakery") ~nprocs:3
+  in
+  Alcotest.(check bool) "truncated" true
+    v.Verify.Obstruction.stats.Explore.truncated;
+  let rendered = Fmt.str "%a" Verify.Obstruction.pp_verdict v in
+  let contains sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length rendered
+      && (String.sub rendered i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  Alcotest.(check bool) "says no violation found" true
+    (contains ": NO VIOLATION FOUND (");
+  Alcotest.(check bool) "says truncated" true (contains " states, truncated)");
+  Alcotest.(check bool) "never claims the property" false
+    (contains "weakly obstruction-free")
+
 let registry_resolves () =
   List.iter
     (fun name ->
@@ -362,5 +387,7 @@ let suite =
         locks_are_weakly_obstruction_free;
       Alcotest.test_case "obstruction checker catches handshakes" `Quick
         obstruction_checker_catches_handshakes;
+      Alcotest.test_case "truncated obstruction check is no verdict" `Quick
+        obstruction_truncated_says_so;
       Alcotest.test_case "registry resolves names" `Quick registry_resolves;
     ] )

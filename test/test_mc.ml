@@ -1,8 +1,11 @@
-(* Parallel model-checker tests: exact agreement of Mc.run with
-   Explore.dfs (states, transitions, outcomes, verdicts) with POR off,
-   verdict preservation with states <= unreduced under POR, replay
-   determinism of counterexample paths across domain counts, and a
-   qcheck cross-check on random small programs. *)
+(* Parallel model-checker tests: exact agreement of Mc.run with the
+   structural reference explorer Fuzz.Reference (states, transitions,
+   outcomes, verdicts) with POR off, verdict preservation with states <=
+   unreduced under POR, replay determinism of counterexample paths
+   across domain counts, and a qcheck cross-check on random small
+   programs. The reference keys states on their full contents, not on
+   Mc's hash lanes, so a lane that drops a key component shows up here
+   as a state-count mismatch. *)
 
 open Memsim
 
@@ -26,7 +29,7 @@ let litmus_parity_engines () =
     (fun test ->
       List.iter
         (fun model ->
-          let reference = Litmus.Test.run ~engine:`Dfs test ~model in
+          let reference = Fuzz.Reference.litmus test ~model in
           List.iter
             (fun jobs ->
               let label =
@@ -48,7 +51,7 @@ let litmus_por_preserves_outcomes () =
     (fun test ->
       List.iter
         (fun model ->
-          let reference = Litmus.Test.run ~engine:`Dfs test ~model in
+          let reference = Fuzz.Reference.litmus test ~model in
           let r =
             Litmus.Test.run ~engine:(`Parallel 2) ~por:true test ~model
           in
@@ -69,87 +72,107 @@ let litmus_por_preserves_outcomes () =
 (* Lock-check parity                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* (holds, mutual exclusion violated, deadlock, lost update) *)
 let verdict_shape (v : Verify.Mutex_check.verdict) =
   ( v.Verify.Mutex_check.holds,
     v.Verify.Mutex_check.me_violation <> None,
     v.Verify.Mutex_check.deadlock <> None,
     v.Verify.Mutex_check.lost_update )
 
+(* The reference side of a lock check: Mutex_check's workload,
+   occupancy monitor and lost-update oracle, explored by the structural
+   reference explorer. Returns the verdict shape and the stats. *)
+let reference_check ~model name ~nprocs =
+  let _, counter, cfg =
+    Verify.Mutex_check.workload ~model (lock name) ~nprocs ~rounds:1
+  in
+  let lost_update = ref false in
+  let r =
+    Fuzz.Reference.run ~monitor:Verify.Mutex_check.cs_monitor
+      ~init:Pid.Set.empty
+      ~on_final:(fun final _ ->
+        if Config.read_mem final counter <> nprocs then lost_update := true)
+      cfg
+  in
+  let violated = r.Explore.violations <> []
+  and deadlocked = r.Explore.deadlocks <> [] in
+  ( ( (not violated) && (not deadlocked) && not !lost_update,
+      violated,
+      deadlocked,
+      !lost_update ),
+    r.Explore.stats )
+
+(* The n=2 lock matrix. gt:2 reaches the 1M-state cap under RA and
+   SRA, so the view models check the other three locks. *)
 let lock_parity_cases =
-  [ ("bakery", 2); ("peterson", 2); ("tournament", 2); ("gt:2", 2) ]
+  List.concat_map
+    (fun name ->
+      List.map
+        (fun model -> (name, model))
+        [ Memory_model.Sc; Memory_model.Tso; Memory_model.Pso ])
+    [ "bakery"; "peterson"; "tournament"; "gt:2" ]
+  @ List.concat_map
+      (fun name ->
+        List.map
+          (fun model -> (name, model))
+          [ Memory_model.Ra; Memory_model.Sra ])
+      [ "bakery"; "peterson"; "tournament" ]
 
 let locks_parity_engines () =
   List.iter
-    (fun (name, nprocs) ->
+    (fun (name, model) ->
+      let shape, stats = reference_check ~model name ~nprocs:2 in
       List.iter
-        (fun model ->
-          let reference =
-            Verify.Mutex_check.check ~engine:`Dfs ~model (lock name) ~nprocs
+        (fun jobs ->
+          let label =
+            Fmt.str "%s/%a n=2 jobs=%d" name Memory_model.pp model jobs
           in
-          List.iter
-            (fun jobs ->
-              let label =
-                Fmt.str "%s/%a n=%d jobs=%d" name Memory_model.pp model nprocs
-                  jobs
-              in
-              let v =
-                Verify.Mutex_check.check ~engine:(`Parallel jobs) ~model
-                  (lock name) ~nprocs
-              in
-              Alcotest.(check bool)
-                (label ^ ": verdict") true
-                (verdict_shape v = verdict_shape reference);
-              check_stats_equal label reference.Verify.Mutex_check.stats
-                v.Verify.Mutex_check.stats)
-            [ 1; 2 ])
-        [ Memory_model.Sc; Memory_model.Tso; Memory_model.Pso ])
+          let v =
+            Verify.Mutex_check.check ~engine:(`Parallel jobs) ~model
+              (lock name) ~nprocs:2
+          in
+          Alcotest.(check bool)
+            (label ^ ": verdict") true
+            (verdict_shape v = shape);
+          check_stats_equal label stats v.Verify.Mutex_check.stats)
+        [ 1; 2 ])
     lock_parity_cases
 
-(* The acceptance-scope case: 3-process bakery, sequential DFS vs the
-   1-domain parallel engine, exact agreement. Slow (~700k states per
-   engine) but the one that matters. *)
+(* The acceptance-scope case: 3-process bakery, the structural reference
+   vs the 1-domain engine, exact agreement. Slow (~700k states per
+   explorer) but the one that matters. *)
 let bakery3_parity () =
   let model = Memory_model.Pso in
-  let reference =
-    Verify.Mutex_check.check ~engine:`Dfs ~model (lock "bakery") ~nprocs:3
-  in
+  let shape, stats = reference_check ~model "bakery" ~nprocs:3 in
   let v =
     Verify.Mutex_check.check ~engine:(`Parallel 1) ~model (lock "bakery")
       ~nprocs:3
   in
-  Alcotest.(check bool)
-    "bakery n=3: verdict" true
-    (verdict_shape v = verdict_shape reference);
-  check_stats_equal "bakery n=3" reference.Verify.Mutex_check.stats
-    v.Verify.Mutex_check.stats
+  Alcotest.(check bool) "bakery n=3: verdict" true (verdict_shape v = shape);
+  check_stats_equal "bakery n=3" stats v.Verify.Mutex_check.stats
 
 let locks_por_preserves_verdicts () =
   let strict_reduction = ref false in
   List.iter
-    (fun (name, nprocs) ->
+    (fun name ->
       List.iter
         (fun model ->
-          let reference =
-            Verify.Mutex_check.check ~engine:`Dfs ~model (lock name) ~nprocs
-          in
+          let shape, stats = reference_check ~model name ~nprocs:2 in
           let v =
             Verify.Mutex_check.check ~engine:(`Parallel 2) ~por:true ~model
-              (lock name) ~nprocs
+              (lock name) ~nprocs:2
           in
           let label = Fmt.str "%s/%a por" name Memory_model.pp model in
           Alcotest.(check bool)
             (label ^ ": verdict") true
-            (verdict_shape v = verdict_shape reference);
+            (verdict_shape v = shape);
           Alcotest.(check bool)
             (label ^ ": states <=") true
-            (v.Verify.Mutex_check.stats.Explore.states
-            <= reference.Verify.Mutex_check.stats.Explore.states);
-          if
-            v.Verify.Mutex_check.stats.Explore.states
-            < reference.Verify.Mutex_check.stats.Explore.states
+            (v.Verify.Mutex_check.stats.Explore.states <= stats.Explore.states);
+          if v.Verify.Mutex_check.stats.Explore.states < stats.Explore.states
           then strict_reduction := true)
         [ Memory_model.Tso; Memory_model.Pso ])
-    lock_parity_cases;
+    [ "bakery"; "peterson"; "tournament"; "gt:2" ];
   (* the reduction must actually bite somewhere, not just be a no-op *)
   Alcotest.(check bool) "POR reduced some check" true !strict_reduction
 
@@ -199,7 +222,7 @@ let replay_deterministic () =
       let steps2, final2 = Mc.Replay.run cfg path in
       Alcotest.(check string)
         (Fmt.str "jobs=%d: final state stable" jobs)
-        (Statekey.to_string final1) (Statekey.to_string final2);
+        (Fuzz.Reference.key final1) (Fuzz.Reference.key final2);
       Alcotest.(check int)
         (Fmt.str "jobs=%d: trace length stable" jobs)
         (List.length steps1) (List.length steps2);
@@ -213,7 +236,7 @@ let replay_deterministic () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Deadlock capping (Explore satellite)                                *)
+(* Deadlock capping                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let max_deadlocks_caps () =
@@ -237,15 +260,11 @@ let max_deadlocks_caps () =
            return 0);
       |]
   in
-  let full = Explore.dfs_plain cfg in
+  let full = Mc.run_plain cfg in
   Alcotest.(check bool)
     "multiple deadlock paths" true
     (List.length full.Explore.deadlocks >= 2);
-  let capped =
-    Explore.dfs
-      ~monitor:(fun () _ -> Ok ())
-      ~init:() ~max_deadlocks:1 cfg
-  in
+  let capped = Mc.run_plain ~max_deadlocks:1 cfg in
   Alcotest.(check int)
     "capped to one" 1
     (List.length capped.Explore.deadlocks);
@@ -312,7 +331,7 @@ let prop_engines_agree =
       List.for_all
         (fun model ->
           let ref_out, ref_res =
-            Explore.reachable_outcomes ~observe (config_of ~model progs)
+            Fuzz.Reference.reachable_outcomes ~observe (config_of ~model progs)
           in
           let mc_out, mc_res =
             Mc.reachable_outcomes ~engine:(`Parallel 2) ~observe
@@ -330,7 +349,7 @@ let prop_engines_agree =
           && ref_out = por_out
           && por_res.Explore.stats.Explore.states
              <= ref_res.Explore.stats.Explore.states)
-        [ Memory_model.Sc; Memory_model.Tso; Memory_model.Pso ])
+        Memory_model.all)
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprint sanity                                                  *)

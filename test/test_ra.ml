@@ -150,11 +150,7 @@ let counterexample_replay () =
     then Some "both locations ended at the first thread's value"
     else None
   in
-  let r =
-    Explore.dfs ~check:weak
-      ~monitor:(fun m _ -> Ok m)
-      ~init:() cfg
-  in
+  let r = Mc.run ~check:weak ~monitor:(fun m _ -> Ok m) ~init:() cfg in
   let path =
     match r.Explore.violations with
     | v :: _ -> v.Explore.path
@@ -166,8 +162,8 @@ let counterexample_replay () =
   let steps1, final1 = Mc.Replay.run regs_cfg path in
   let steps2, final2 = Mc.Replay.run regs_cfg path in
   Alcotest.(check string) "replayed final state stable"
-    (Statekey.to_string final1)
-    (Statekey.to_string final2);
+    (Fuzz.Reference.key final1)
+    (Fuzz.Reference.key final2);
   Alcotest.(check int) "replayed trace length stable" (List.length steps1)
     (List.length steps2);
   Alcotest.(check (list int))
@@ -177,11 +173,7 @@ let counterexample_replay () =
   let _, cfg_sra =
     Litmus.Test.configure Litmus.Cases.two_plus_two_w ~model:Memory_model.Sra
   in
-  let r_sra =
-    Explore.dfs ~check:weak
-      ~monitor:(fun m _ -> Ok m)
-      ~init:() cfg_sra
-  in
+  let r_sra = Mc.run ~check:weak ~monitor:(fun m _ -> Ok m) ~init:() cfg_sra in
   Alcotest.(check int) "SRA: 2+2W weak outcome unreachable" 0
     (List.length r_sra.Explore.violations)
 
@@ -428,8 +420,8 @@ let reductions_rejected () =
   let cfg model =
     snd (Litmus.Test.configure Litmus.Cases.sb ~model)
   in
-  check_invalid "dfs --reorder-bound under RA" (fun () ->
-      Explore.dfs_plain ~reorder_bound:1 (cfg Memory_model.Ra));
+  check_invalid "--reorder-bound under RA" (fun () ->
+      Mc.run_plain ~reorder_bound:1 (cfg Memory_model.Ra));
   check_invalid "parallel --reorder-bound under SRA" (fun () ->
       Mc.run_plain ~engine:(`Parallel 1) ~reorder_bound:1
         (cfg Memory_model.Sra));

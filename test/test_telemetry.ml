@@ -92,24 +92,12 @@ let per_worker_sums_reconcile_at_j4 () =
     (Some v.Verify.Mutex_check.stats.Explore.states)
     (Telemetry.Hub.read_int tel "states")
 
-(* The dfs engine speaks the same counter vocabulary. *)
-let dfs_counters_reconcile () =
-  let tel = Telemetry.Hub.create ~workers:1 () in
-  let v = check_bakery ~tel ~engine:`Dfs () in
-  let f = Telemetry.Hub.counter_fields tel in
-  Alcotest.(check int) "expansions = states"
-    v.Verify.Mutex_check.stats.Explore.states
-    (List.assoc "expansions" f);
-  Alcotest.(check int) "children = transitions"
-    v.Verify.Mutex_check.stats.Explore.transitions
-    (List.assoc "children" f)
-
 (* Telemetry off is the default: not passing a hub must not change any
    observable result (bumps land on a private, unread hub). *)
 let disabled_hub_is_a_noop () =
   List.iter
-    (fun engine ->
-      let tel = Telemetry.Hub.create ~workers:1 () in
+    (fun (`Parallel jobs as engine) ->
+      let tel = Telemetry.Hub.create ~workers:jobs () in
       let v_with = check_bakery ~tel ~engine () in
       let v_without = check_bakery ~engine () in
       Alcotest.(check bool) "same holds"
@@ -120,7 +108,7 @@ let disabled_hub_is_a_noop () =
       Alcotest.(check int) "same transitions"
         v_without.Verify.Mutex_check.stats.Explore.transitions
         v_with.Verify.Mutex_check.stats.Explore.transitions)
-    [ `Dfs; `Parallel 1 ]
+    [ `Parallel 1; `Parallel 2 ]
 
 (* --- NDJSON golden shape ------------------------------------------ *)
 
@@ -303,8 +291,6 @@ let suite =
         counters_deterministic_at_j1;
       Alcotest.test_case "per-worker sums reconcile with verdict at j=4"
         `Quick per_worker_sums_reconcile_at_j4;
-      Alcotest.test_case "dfs speaks the same counter vocabulary" `Quick
-        dfs_counters_reconcile;
       Alcotest.test_case "unread hub changes nothing" `Quick
         disabled_hub_is_a_noop;
       Alcotest.test_case "sink: golden record bytes" `Quick sink_golden_record;
