@@ -1,9 +1,31 @@
-.PHONY: all build test bench bench-smoke benchmark-smoke mc-smoke mc-bench fuzz-smoke synth-smoke serve-smoke doc examples clean
+.PHONY: all build inline-check test bench bench-smoke benchmark-smoke mc-smoke mc-bench fuzz-smoke synth-smoke serve-smoke doc examples clean
 
 all: build
 
 build:
 	dune build @all
+
+# Guards the optimized default build (dune-workspace): fails if a
+# module of lib/memsim or lib/mc was compiled without the .cmx of an
+# in-project implementation it imports, as dune's dev profile does
+# (-opaque), so that no call into it can be inlined. ocamlobjinfo then
+# prints a dashed line in place of that import's CRC. It also fails if
+# it finds no in-project import at all, so a change of output format
+# cannot pass it vacuously.
+INLINE_CHECK_CMX = _build/default/lib/memsim/.memsim.objs/native/*.cmx \
+	_build/default/lib/mc/.mc.objs/native/*.cmx
+
+inline-check: build
+	@ocamlobjinfo $(INLINE_CHECK_CMX) | awk ' \
+	  /^File / { file = $$2 } \
+	  /^Implementations imported:/ { imp = 1; next } \
+	  /^[^\t]/ { imp = 0 } \
+	  imp && $$2 ~ /^(Memsim|Mc|Telemetry)__/ { \
+	    total++; \
+	    if ($$1 ~ /^-+$$/) { opaque++; print file ": no CRC for " $$2 } } \
+	  END { \
+	    printf "inline-check: %d in-project implementation imports, %d without a CRC\n", total, opaque; \
+	    exit (total == 0 || opaque > 0) }'
 
 test:
 	dune runtest
@@ -23,8 +45,10 @@ bench:
 # and the SB litmus cell on the raw closure interpreter (the flat
 # fast path is semantics-invisible, so verdicts and counts must not
 # change). Every leg writes NDJSON stats (uploaded as CI artifacts).
-# The last leg pins --jobs validation: J < 1 is a usage error (exit
-# 124), not a silent fallback.
+# The last legs pin option validation: a count below 1 (--jobs,
+# --rounds, --max-states, --seeds, --count, --procs, --len) and an
+# --pi that is not a permutation of 0..k-1 are usage errors (exit
+# 124), not a run that loops forever, checks nothing or crashes.
 mc-smoke:
 	dune exec test/mc_smoke.exe
 	dune exec bin/fencelab_cli.exe -- check bakery -m PSO -n 2 \
@@ -40,8 +64,17 @@ mc-smoke:
 	dune exec bin/fencelab_cli.exe -- check bakery -m PSO -n 2 --no-compile \
 	--stats-out MC_smoke_nocompile.ndjson
 	dune exec bin/fencelab_cli.exe -- litmus SB -m TSO --no-compile
-	dune exec bin/fencelab_cli.exe -- check peterson -n 2 --jobs 0; \
-	test $$? -eq 124
+	for args in "check peterson -n 2 --jobs 0" \
+	  "check bakery --rounds=-2" "check peterson -n 2 --max-states=0" \
+	  "obstruction peterson -n 2 --max-states=0" \
+	  "synth --family bakery -m PSO -n 2 --max-states=0" \
+	  "stress bakery --seeds=-3" "fuzz --count=-1" \
+	  "fuzz --procs 0 --len 0 --count 3" \
+	  "encode bakery --pi 0012" "encode bakery -n 3 --pi 9"; do \
+	  dune exec bin/fencelab_cli.exe -- $$args 2>/dev/null; \
+	  code=$$?; echo "fencelab $$args: exit $$code"; \
+	  test $$code -eq 124 || exit 1; \
+	done
 
 # States/sec of the parallel engine by domain count; writes BENCH_mc.json
 mc-bench:

@@ -496,6 +496,7 @@ let mc () =
   in
   let guard = Sys.getenv_opt "BENCH_MC_GUARD" <> None in
   let cpus = Domain.recommended_domain_count () in
+  Fmt.pr "Build profile: %s@.@." Build_profile.profile;
   (* expected-state hints (the committed full-space sizes) pre-size the
      visited set so rehashing does not pollute the timing *)
   let workloads =
@@ -737,8 +738,10 @@ let mc () =
   else begin
     let oc = open_out "BENCH_mc.json" in
     output_string oc
-      (Fmt.str "{\"cpus\": %d,\n \"jobs_swept\": [%s],\n \"runs\": [\n%s\n]}\n"
-         cpus
+      (Fmt.str
+         "{\"profile\": %S,\n \"cpus\": %d,\n \"jobs_swept\": [%s],\n \
+          \"runs\": [\n%s\n]}\n"
+         Build_profile.profile cpus
          (String.concat ", " (List.map string_of_int jobs_sweep))
          (String.concat ",\n" (List.rev !records)));
     close_out oc;
@@ -789,15 +792,15 @@ let mc () =
             j rj r1;
           exit 1
         end);
-    (* compiled-layer floor. Measured honestly, the flat fast path is
-       a 1.0-1.25x win on model-checking workloads, not the 2x a
-       dispatch-only argument would promise: ~450 minor words/state go
-       to state keying, copy-on-write config updates and step records,
-       and program-node dispatch is a sliver of that (see EXPERIMENTS
-       E14). So this is a no-regression guard with measured headroom —
-       the compiled path must never fall behind the raw closure
-       interpreter beyond noise: the median of the alternating pairs'
-       ratios is held to the floor. *)
+    (* compiled-layer floor. Measured in the optimized build, with
+       Instr's decoders inlined into Exec, the flat fast path is a
+       1.00-1.07x win on model-checking workloads, not the 2x a
+       dispatch-only argument would promise: ~420-580 minor
+       words/state go to state keying, copy-on-write config updates
+       and step records (see EXPERIMENTS E14). So this is a
+       no-regression guard — the compiled path must never fall behind
+       the raw closure interpreter beyond noise: the median of the
+       alternating pairs' ratios is held to the floor. *)
     match List.sort compare !pso_pair_ratios with
     | [] ->
         Fmt.epr "guard: missing compiled-layer PSO rows@.";

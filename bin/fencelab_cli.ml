@@ -296,13 +296,17 @@ let check_cmd =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print the counterexample trace.")
   in
   let rounds_t =
-    Arg.(value & opt int 1 & info [ "rounds" ] ~docv:"R" ~doc:"Passages per process.")
+    Arg.(
+      value
+      & opt positive_int_conv 1
+      & info [ "rounds" ] ~docv:"R" ~doc:"Passages per process, R >= 1.")
   in
   let max_states_t =
     Arg.(
       value
-      & opt int 1_000_000
-      & info [ "max-states" ] ~docv:"K" ~doc:"State cap for exploration.")
+      & opt positive_int_conv 1_000_000
+      & info [ "max-states" ] ~docv:"K"
+          ~doc:"State cap for exploration, K >= 1.")
   in
   let run (name, factory) model nprocs rounds max_states trace jobs por
       symmetry reorder_bound no_compile progress interval stats_out =
@@ -376,10 +380,16 @@ let check_cmd =
 
 let stress_cmd =
   let seeds_t =
-    Arg.(value & opt int 50 & info [ "seeds" ] ~docv:"K" ~doc:"Number of seeded runs.")
+    Arg.(
+      value
+      & opt positive_int_conv 50
+      & info [ "seeds" ] ~docv:"K" ~doc:"Number of seeded runs, K >= 1.")
   in
   let rounds_t =
-    Arg.(value & opt int 3 & info [ "rounds" ] ~docv:"R" ~doc:"Passages per process.")
+    Arg.(
+      value
+      & opt positive_int_conv 3
+      & info [ "rounds" ] ~docv:"R" ~doc:"Passages per process, R >= 1.")
   in
   let run (name, factory) model nprocs seeds rounds =
    protect @@ fun () ->
@@ -396,8 +406,9 @@ let obstruction_cmd =
   let max_states_t =
     Arg.(
       value
-      & opt int 500_000
-      & info [ "max-states" ] ~docv:"K" ~doc:"State cap for exploration.")
+      & opt positive_int_conv 500_000
+      & info [ "max-states" ] ~docv:"K"
+          ~doc:"State cap for exploration, K >= 1.")
   in
   let run (name, factory) model nprocs max_states =
    protect @@ fun () ->
@@ -527,32 +538,34 @@ let fuzz_cmd =
   let count_t =
     Arg.(
       value
-      & opt int 200
-      & info [ "count" ] ~docv:"K" ~doc:"Generated programs (seeds S..S+K-1).")
+      & opt positive_int_conv 200
+      & info [ "count" ] ~docv:"K"
+          ~doc:"Generated programs (seeds S..S+K-1), K >= 1.")
   in
   let procs_t =
     Arg.(
       value
-      & opt int Fuzz.Gen.default_params.Fuzz.Gen.procs
-      & info [ "procs" ] ~docv:"P" ~doc:"Processes per generated program.")
+      & opt positive_int_conv Fuzz.Gen.default_params.Fuzz.Gen.procs
+      & info [ "procs" ] ~docv:"P"
+          ~doc:"Processes per generated program, P >= 1.")
   in
   let len_t =
     Arg.(
       value
-      & opt int Fuzz.Gen.default_params.Fuzz.Gen.len
-      & info [ "len" ] ~docv:"L" ~doc:"Max instructions per process.")
+      & opt positive_int_conv Fuzz.Gen.default_params.Fuzz.Gen.len
+      & info [ "len" ] ~docv:"L" ~doc:"Max instructions per process, L >= 1.")
   in
   let regs_t =
     Arg.(
       value
-      & opt int Fuzz.Gen.default_params.Fuzz.Gen.nregs
-      & info [ "regs" ] ~docv:"R" ~doc:"Shared registers.")
+      & opt positive_int_conv Fuzz.Gen.default_params.Fuzz.Gen.nregs
+      & info [ "regs" ] ~docv:"R" ~doc:"Shared registers, R >= 1.")
   in
   let values_t =
     Arg.(
       value
-      & opt int Fuzz.Gen.default_params.Fuzz.Gen.values
-      & info [ "values" ] ~docv:"V" ~doc:"Write values drawn from 1..V.")
+      & opt positive_int_conv Fuzz.Gen.default_params.Fuzz.Gen.values
+      & info [ "values" ] ~docv:"V" ~doc:"Write values drawn from 1..V, V >= 1.")
   in
   let artifact_dir_t =
     Arg.(
@@ -663,14 +676,17 @@ let synth_cmd =
   in
   let rounds_t =
     Arg.(
-      value & opt int 1
-      & info [ "rounds" ] ~docv:"R" ~doc:"Passages per process (lock oracles).")
+      value
+      & opt positive_int_conv 1
+      & info [ "rounds" ] ~docv:"R"
+          ~doc:"Passages per process (lock oracles), R >= 1.")
   in
   let max_states_t =
     Arg.(
       value
-      & opt int 400_000
-      & info [ "max-states" ] ~docv:"K" ~doc:"State cap per oracle call.")
+      & opt positive_int_conv 400_000
+      & info [ "max-states" ] ~docv:"K"
+          ~doc:"State cap per oracle call, K >= 1.")
   in
   let frontier_out_t =
     Arg.(
@@ -849,18 +865,36 @@ let serve_cmd =
        $ checkpoint_dir_t $ crash_after_t $ watch_t $ stats_out_t))
 
 let encode_cmd =
+  let permutation_conv =
+    let parse s =
+      let k = String.length s in
+      let pi = Array.init k (fun i -> Char.code s.[i] - Char.code '0') in
+      (* with k <= 10, a non-digit character falls outside 0..k-1 *)
+      if k >= 1 && k <= 10 && Encoding.Encoder.is_permutation pi then Ok pi
+      else
+        Error
+          (`Msg
+             (Fmt.str "expected a permutation of 0..k-1 as digits, got %S" s))
+    in
+    Arg.conv (parse, fun ppf pi -> Array.iter (Fmt.int ppf) pi)
+  in
   let pi_t =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "pi" ] ~docv:"DIGITS" ~doc:"Permutation as digits, e.g. 2031.")
+      & opt (some permutation_conv) None
+      & info [ "pi" ] ~docv:"DIGITS"
+          ~doc:
+            "Permutation of 0..k-1 as digits, e.g. 2031 (k <= 10). Its \
+             length k sets the process count, in place of $(b,--nprocs). \
+             Default: a fixed pseudo-random permutation of $(b,--nprocs) \
+             processes.")
   in
   let run (name, factory) nprocs pi =
    protect @@ fun () ->
     ignore name;
     let pi =
       match pi with
-      | Some s -> Array.init (String.length s) (fun i -> Char.code s.[i] - Char.code '0')
+      | Some pi -> pi
       | None -> Fencelab.Experiment.random_permutation ~seed:0 nprocs
     in
     let n = Array.length pi in

@@ -76,9 +76,18 @@ let check_lemma_invariants ~iteration pi stacks cfg t =
       fail_invariant iteration "(I2): position %d (p%d) should be initial" k p
   done
 
+let is_permutation pi =
+  let sorted = Array.copy pi in
+  Array.sort compare sorted;
+  sorted = Array.init (Array.length pi) Fun.id
+
 let encode ?(max_iterations = 2_000_000) ?(check_invariants = true) ~cinit
     ~(pi : int array) () : result =
   let n = Array.length pi in
+  if n <> Config.nprocs cinit || not (is_permutation pi) then
+    Fmt.invalid_arg "Encoder.encode: pi %a does not permute the %d processes"
+      Fmt.(brackets (array ~sep:semi int))
+      pi (Config.nprocs cinit);
   let layout = cinit.Config.layout in
   let all_but p =
     List.init n Fun.id |> List.filter (fun q -> not (Pid.equal q p)) |> Pid.Set.of_list

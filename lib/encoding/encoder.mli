@@ -1,7 +1,9 @@
 (** The encoder (Section 5.2): grow the command stacks for a
     permutation π one command at a time (rules E1/E2a/E2b) until the
     last process of π reaches a final state. Lemma 5.1 invariants are
-    asserted when [check_invariants] is set. *)
+    asserted when [check_invariants] is set. [pi] must be a permutation
+    of [cinit]'s processes [0 .. n-1]; anything else raises
+    [Invalid_argument]. *)
 
 open Memsim
 
@@ -14,6 +16,9 @@ type result = {
 }
 
 exception Invariant_violation of { iteration : int; message : string }
+
+(** [pi] holds each of [0 .. Array.length pi - 1] exactly once. *)
+val is_permutation : int array -> bool
 
 val encode :
   ?max_iterations:int -> ?check_invariants:bool -> cinit:Config.t ->

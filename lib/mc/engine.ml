@@ -723,6 +723,8 @@ let run (type m) ?tel ?(engine : engine = `Parallel 1) ?(por = false)
     ~(monitor : m -> Step.t -> (m, string) Stdlib.result) ~(init : m)
     ?(on_final = fun (_ : Config.t) (_ : m) -> ()) (cfg0 : Config.t) :
     m Explore.result =
+  if max_states < 1 then
+    Fmt.invalid_arg "Mc.run: max_states %d < 1" max_states;
   let (`Parallel jobs) = engine in
   run_parallel ~tel ~jobs ~por ~symmetry ~expected_states ~report_visited
     ~max_states ~max_depth ~max_violations ~max_deadlocks ~bound:reorder_bound
@@ -797,6 +799,8 @@ let deepen (type m) ?tel ?(jobs = 1) ?(por = false) ?expected_states
     ~(monitor : m -> Step.t -> (m, string) Stdlib.result) ~(init : m)
     ?(on_final = fun (_ : Config.t) (_ : m) -> ()) (cfg0 : Config.t) :
     m deepen_result =
+  if max_states < 1 then
+    Fmt.invalid_arg "Mc.deepen: max_states %d < 1" max_states;
   if bound_from < 0 || bound_step < 1 || max_bound < bound_from then
     Fmt.invalid_arg "Mc.deepen: bound_from %d, bound_step %d, max_bound %d"
       bound_from bound_step max_bound;

@@ -40,8 +40,9 @@ type checkpoint = {
     transitions. [check] is an invariant evaluated once per claimed
     state; [Some msg] records a violation with the reproducing
     schedule. [on_final] fires once per claimed quiescent state.
-    [max_states] (default 1,000,000) and [max_depth] (default 100,000)
-    bound the run, which is then marked truncated; [max_violations]
+    [max_states] (default 1,000,000; at least 1, else
+    [Invalid_argument]) and [max_depth] (default 100,000) bound the
+    run, which is then marked truncated; [max_violations]
     (default 3) stops it too; [max_deadlocks] caps how many deadlock
     paths are kept (default: all).
 
@@ -186,8 +187,9 @@ type 'm deepen_result = {
     and only the boundary states (those with a pruned edge) are
     re-seeded. Stops at the first violating level, at saturation, at
     truncation, or at [max_bound]. [max_states] caps the {e cumulative}
-    state count. Always [`Parallel jobs] (default 1); [symmetry] is
-    not available (see {!run}). *)
+    state count (at least 1, else [Invalid_argument]). Always
+    [`Parallel jobs] (default 1); [symmetry] is not available (see
+    {!run}). *)
 val deepen :
   ?tel:Telemetry.Hub.t ->
   ?jobs:int ->

@@ -60,6 +60,14 @@ let get_model j =
   | Some m -> Ok m
   | None -> Error (Fmt.str "unknown memory model %S" s)
 
+(* An optional count that must be at least 1, [default] when absent. *)
+let positive_field j name ~default =
+  let* v = Json.field_opt j name Json.get_int in
+  match v with
+  | None -> Ok default
+  | Some n when n >= 1 -> Ok n
+  | Some n -> Error (Fmt.str "%S must be a positive integer, got %d" name n)
+
 let of_json (j : Json.t) : (t, string) result =
   let* id = Json.field j "id" Json.get_string in
   let* kind = Json.field j "job" Json.get_string in
@@ -69,8 +77,8 @@ let of_json (j : Json.t) : (t, string) result =
         let* lock = Json.field j "lock" Json.get_string in
         let* model = Json.field j "model" get_model in
         let* nprocs = Json.field j "nprocs" Json.get_int in
-        let* rounds = Json.field_opt j "rounds" Json.get_int in
-        let* max_states = Json.field_opt j "max_states" Json.get_int in
+        let* rounds = positive_field j "rounds" ~default:1 in
+        let* max_states = positive_field j "max_states" ~default:1_000_000 in
         let* por = Json.field_opt j "por" Json.get_bool in
         let* reorder_bound = Json.field_opt j "reorder_bound" Json.get_int in
         Ok
@@ -79,8 +87,8 @@ let of_json (j : Json.t) : (t, string) result =
                lock;
                model;
                nprocs;
-               rounds = Option.value ~default:1 rounds;
-               max_states = Option.value ~default:1_000_000 max_states;
+               rounds;
+               max_states;
                por = Option.value ~default:false por;
                reorder_bound;
              })
@@ -91,30 +99,16 @@ let of_json (j : Json.t) : (t, string) result =
         Ok (Litmus { test; model; reorder_bound })
     | "fuzz" ->
         let* seed = Json.field_opt j "seed" Json.get_int in
-        let* count = Json.field_opt j "count" Json.get_int in
+        let* count = positive_field j "count" ~default:50 in
         let* model = Json.field_opt j "model" get_model in
-        Ok
-          (Fuzz
-             {
-               seed = Option.value ~default:0 seed;
-               count = Option.value ~default:50 count;
-               model;
-             })
+        Ok (Fuzz { seed = Option.value ~default:0 seed; count; model })
     | "synth" ->
         let* family = Json.field j "family" Json.get_string in
         let* model = Json.field j "model" get_model in
         let* nprocs = Json.field j "nprocs" Json.get_int in
-        let* rounds = Json.field_opt j "rounds" Json.get_int in
-        let* max_states = Json.field_opt j "max_states" Json.get_int in
-        Ok
-          (Synth
-             {
-               family;
-               model;
-               nprocs;
-               rounds = Option.value ~default:1 rounds;
-               max_states = Option.value ~default:400_000 max_states;
-             })
+        let* rounds = positive_field j "rounds" ~default:1 in
+        let* max_states = positive_field j "max_states" ~default:400_000 in
+        Ok (Synth { family; model; nprocs; rounds; max_states })
     | "atlas" ->
         let* model = Json.field_opt j "model" get_model in
         let* nprocs_json = Json.field j "nprocs" Json.get_list in

@@ -41,8 +41,9 @@ type t = { id : string; spec : spec }
 val kind : t -> string
 
 (** Wire decoding: [{"job": <kind>, "id": <id>, ...}]. Unknown kinds,
-    missing mandatory fields and ill-typed values are [Error]s naming
-    the field — a daemon rejects the line and keeps serving. *)
+    missing mandatory fields, ill-typed values and a [rounds],
+    [max_states] or [count] below 1 are [Error]s naming the field — a
+    daemon rejects the line and keeps serving. *)
 val of_json : Json.t -> (t, string) result
 
 val of_line : string -> (t, string) result

@@ -89,6 +89,8 @@ let cs_monitor occupancy (step : Step.t) =
     number of passages; a lost update betrays an overlap even if the
     label monitor were blind to it. *)
 let workload ?compile ~model (factory : Locks.Lock.factory) ~nprocs ~rounds =
+  if rounds < 1 then
+    Fmt.invalid_arg "Mutex_check.workload: rounds %d < 1" rounds;
   let builder = Layout.Builder.create ~nprocs in
   let lock = factory builder ~nprocs in
   let counter =

@@ -44,7 +44,8 @@ val cs_monitor : Pid.Set.t -> Step.t -> (Pid.Set.t, string) result
 
 (** The standard checking workload: [rounds] passages per process, each
     critical section incrementing a shared counter. Returns the lock,
-    the counter register, and the initial configuration. *)
+    the counter register, and the initial configuration. Raises
+    [Invalid_argument] when [rounds < 1]. *)
 val workload :
   ?compile:bool -> model:Memory_model.t -> Locks.Lock.factory -> nprocs:int ->
   rounds:int -> Locks.Lock.t * Reg.t * Config.t

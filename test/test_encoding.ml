@@ -323,6 +323,21 @@ let stack_discipline () =
   Alcotest.(check bool) "bottom remains" true
     (Encoding.Cstack.top s = Some Encoding.Command.Proceed)
 
+(* The code is indexed by positions of a permutation of the processes:
+   a repeated, missing or foreign pid is a caller error, not a broken
+   Lemma 5.1 invariant. *)
+let encode_rejects_non_permutations () =
+  let _, cinit =
+    Objects.Count.configure (lock "bakery") ~model:Memory_model.Pso ~nprocs:3
+  in
+  List.iter
+    (fun pi ->
+      match Encoding.Encoder.encode ~cinit ~pi () with
+      | _ ->
+          Alcotest.failf "accepted [%a]" Fmt.(array ~sep:semi int) pi
+      | exception Invalid_argument _ -> ())
+    [ [| 0; 0; 1 |]; [| 0; 1; 9 |]; [| 2; 1 |]; [| 0; 1; 2; 3 |]; [||] ]
+
 let suite =
   ( "encoding",
     [
@@ -345,4 +360,6 @@ let suite =
       Alcotest.test_case "bit primitives" `Quick bit_primitives;
       Alcotest.test_case "command values" `Quick command_values;
       Alcotest.test_case "stack discipline" `Quick stack_discipline;
+      Alcotest.test_case "encode rejects a non-permutation" `Quick
+        encode_rejects_non_permutations;
     ] )

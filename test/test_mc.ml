@@ -271,6 +271,26 @@ let max_deadlocks_caps () =
   (* same stuck states are still visited; only the path log is capped *)
   check_stats_equal "capped run stats" full.Explore.stats capped.Explore.stats
 
+(* A cap below one state would report a clean truncated run after one
+   state, and a workload of no passages would check nothing: both are
+   rejected where they enter. *)
+let nonpositive_bounds_rejected () =
+  let _, _, cfg =
+    Verify.Mutex_check.workload ~model:Memory_model.Pso (lock "peterson")
+      ~nprocs:2 ~rounds:1
+  in
+  Alcotest.check_raises "Mc.run" (Invalid_argument "Mc.run: max_states 0 < 1")
+    (fun () -> ignore (Mc.run_plain ~max_states:0 cfg));
+  Alcotest.check_raises "Mc.deepen"
+    (Invalid_argument "Mc.deepen: max_states -3 < 1") (fun () ->
+      ignore
+        (Mc.deepen ~max_states:(-3) ~monitor:(fun () _ -> Ok ()) ~init:() cfg));
+  Alcotest.check_raises "Mutex_check.workload"
+    (Invalid_argument "Mutex_check.workload: rounds -2 < 1") (fun () ->
+      ignore
+        (Verify.Mutex_check.workload ~model:Memory_model.Pso (lock "bakery")
+           ~nprocs:2 ~rounds:(-2)))
+
 (* ------------------------------------------------------------------ *)
 (* Random programs: engines agree (qcheck)                             *)
 (* ------------------------------------------------------------------ *)
@@ -398,6 +418,8 @@ let suite =
         replay_deterministic;
       Alcotest.test_case "max_deadlocks caps the path log" `Quick
         max_deadlocks_caps;
+      Alcotest.test_case "non-positive caps and rounds rejected" `Quick
+        nonpositive_bounds_rejected;
       QCheck_alcotest.to_alcotest prop_engines_agree;
       Alcotest.test_case "fingerprint equality" `Quick
         fingerprint_matches_key_equality;

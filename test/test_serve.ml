@@ -101,6 +101,12 @@ let job_golden () =
       {|{"job":"check","id":"x","lock":"bakery","model":"NOPE","nprocs":2}|};
       {|{"job":"check","id":"x","lock":"bakery","model":"PSO","nprocs":"two"}|};
       "not json at all";
+      (* non-positive counts would loop forever or check nothing *)
+      {|{"job":"check","id":"x","lock":"bakery","model":"PSO","nprocs":2,"rounds":-1}|};
+      {|{"job":"check","id":"x","lock":"bakery","model":"PSO","nprocs":2,"max_states":0}|};
+      {|{"job":"synth","id":"x","family":"bakery","model":"PSO","nprocs":2,"rounds":0}|};
+      {|{"job":"synth","id":"x","family":"bakery","model":"PSO","nprocs":2,"max_states":-5}|};
+      {|{"job":"fuzz","id":"x","count":-1}|};
     ]
 
 let ack_golden () =
