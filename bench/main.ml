@@ -469,8 +469,7 @@ let mc () =
      BENCH_MC_GUARD=1 turns the run into a regression guard: exit 1 if
      the aggregate throughput of the largest swept j that fits the
      machine's CPUs falls below j=1 (no such j > 1: scaling is reported
-     as not measured), or if the compiled layer falls below 0.9x the
-     closure interpreter. *)
+     as not measured). *)
   let cap, capped =
     match Sys.getenv_opt "BENCH_MC_CAP" with
     | Some s -> (
@@ -505,21 +504,18 @@ let mc () =
   in
   let engines =
     List.map
-      (fun j -> (Fmt.str "mc j=%d" j, `Parallel j, false, false, None, true))
+      (fun j -> (Fmt.str "mc j=%d" j, `Parallel j, false, false, None))
       jobs_sweep
     @ [
-        (* the --no-compile escape hatch: raw closure interpreter,
-           identical counts, the before-row of the compiled layer *)
-        ("mc j=1 no-compile", `Parallel 1, false, false, None, false);
-        ("mc j=1 +por", `Parallel 1, true, false, None, true);
-        ("mc j=4 +por", `Parallel 4, true, false, None, true);
-        ("mc j=1 +sym", `Parallel 1, false, true, None, true);
-        ("mc j=1 +por+sym", `Parallel 1, true, true, None, true);
+        ("mc j=1 +por", `Parallel 1, true, false, None);
+        ("mc j=4 +por", `Parallel 4, true, false, None);
+        ("mc j=1 +sym", `Parallel 1, false, true, None);
+        ("mc j=1 +por+sym", `Parallel 1, true, true, None);
         (* bounded rows: the reorder-budget under-approximation at K=2
            and the deepening driver, reading the same bound_hits counter
            `--stats-out` exports *)
-        ("mc j=1 rb=2", `Parallel 1, false, false, Some (`K 2), true);
-        ("mc j=1 deepen", `Parallel 1, false, false, Some `Deepen, true);
+        ("mc j=1 rb=2", `Parallel 1, false, false, Some (`K 2));
+        ("mc j=1 deepen", `Parallel 1, false, false, Some `Deepen);
       ]
   in
   let records = ref [] in
@@ -530,7 +526,7 @@ let mc () =
       (fun (name, nprocs, expected) ->
         List.map
           (fun
-            (label, (`Parallel jobs as engine), por, symmetry, bound, compile)
+            (label, (`Parallel jobs as engine), por, symmetry, bound)
           ->
             let vstats = ref None in
             (* a fresh hub per run: counter totals are per-run, and the
@@ -541,7 +537,7 @@ let mc () =
             let mw0 = Gc.minor_words () in
             let t0 = Unix.gettimeofday () in
             let v =
-              Verify.Mutex_check.check ~tel ~compile ~max_states:cap
+              Verify.Mutex_check.check ~tel ~max_states:cap
                 ~expected_states:(min cap expected)
                 ~report_visited:(fun s -> vstats := Some s)
                 ~engine ~por ~symmetry ?reorder_bound:bound
@@ -563,7 +559,7 @@ let mc () =
             (* a run racing j domains over fewer CPUs measures contention,
                not scaling: flag it and refuse to publish a speedup *)
             let underprovisioned = jobs > cpus in
-            if (not por) && (not symmetry) && bound = None && compile then
+            if (not por) && (not symmetry) && bound = None then
               Hashtbl.replace rates (name, jobs) rate;
             let speedup =
               if underprovisioned then Float.nan
@@ -581,13 +577,13 @@ let mc () =
               Fmt.str
                 {|  {"workload": %S, "nprocs": %d, "model": "PSO",
    "engine": %S, "jobs": %d, "por": %b, "symmetry": %b,
-   "compiled": %b, "minor_words_per_state": %.1f,
+   "minor_words_per_state": %.1f,
    "reorder_bound": %s, "bound_hits": %d, "bound_exact": %b,
    "states": %d, "transitions": %d, "truncated": %b,
    "seconds": %.3f, "states_per_sec": %.0f,
    "steals": %d, "dedup_hits": %d, "prunes": %d,
    "speedup_vs_j1": %s, "underprovisioned": %b, "visited_skew": %s}|}
-                name nprocs label jobs por symmetry compile mw_per_state
+                name nprocs label jobs por symmetry mw_per_state
                 (match v.Verify.Mutex_check.reorder_bound with
                 | Some k -> string_of_int k
                 | None -> "null")
@@ -627,109 +623,58 @@ let mc () =
         "mw/st"; "steals"; "dedup"; "prunes"; "bnd-hits"; "vs j=1"; "skew";
       ]
     rows;
-  (* Compiled execution layer: the flat fast path vs the raw closure
-     interpreter on a generated workload whose every process compiles
-     to Instr code, under the buffered reference model and — first
-     throughput rows for the view-based backend — under RA and SRA.
-     The bakery no-compile row above is the honest fallback
-     comparison: its computed writes and data spins reject
-     flattening, so its delta measures continuation sharing alone. *)
+  (* A generated workload under the buffered reference model and the
+     view-based RA and SRA: one plain run per model. *)
   let fuzz_params = { Fuzz.Gen.default_params with procs = 3; len = 9 } in
   let fuzz_prog = Fuzz.Gen.generate ~seed:29 fuzz_params in
   let fuzz_name = Fuzz.Gen.name fuzz_prog in
-  (* (model name, compiled) -> best rate, for the vs-closure column *)
-  let comp_rates : (string * bool, float) Hashtbl.t = Hashtbl.create 8 in
-  (* compiled/closure rate ratio of each PSO pair, for the guard *)
-  let pso_pair_ratios = ref [] in
-  let comp_rows =
-    List.concat_map
+  let fuzz_test = Fuzz.Gen.compile fuzz_prog in
+  let fuzz_rows =
+    List.map
       (fun model ->
         let mname = Memory_model.to_string model in
-        let closure_test = Fuzz.Gen.compile ~flat:false fuzz_prog
-        and compiled_test = Fuzz.Gen.compile ~flat:true fuzz_prog in
-        let pass compile =
-          let test = if compile then compiled_test else closure_test in
-          let mw0 = Gc.minor_words () in
-          let t0 = Unix.gettimeofday () in
-          let r =
-            Litmus.Test.run ~compile ~max_states:cap ~engine:(`Parallel 1) test
-              ~model
-          in
-          let dt = Unix.gettimeofday () -. t0 in
-          let mw = Gc.minor_words () -. mw0 in
-          (r, dt, mw, float_of_int r.Litmus.Test.stats.Explore.states /. dt)
+        let mw0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        let r =
+          Litmus.Test.run ~max_states:cap ~engine:(`Parallel 1) fuzz_test
+            ~model
         in
-        (* closure and compiled passes alternate, so a slow phase of a
-           shared machine slows both passes of a pair; the guarded PSO
-           rows take five pairs and the guard reads the median pair, so
-           neither one noisy pass nor the first pair's one-off costs
-           (cold memo tables on the closure path) can trip it. Each
-           row reports its path's best pass. *)
-        let npairs = if model = Memory_model.Pso then 5 else 2 in
-        let pairs =
-          List.init npairs (fun _ ->
-              let closure = pass false in
-              let compiled = pass true in
-              (closure, compiled))
+        let dt = Unix.gettimeofday () -. t0 in
+        let mw = Gc.minor_words () -. mw0 in
+        let s = r.Litmus.Test.stats in
+        let rate = float_of_int s.Explore.states /. dt in
+        let mw_per_state =
+          if s.Explore.states = 0 then 0.
+          else mw /. float_of_int s.Explore.states
         in
-        if model = Memory_model.Pso then
-          pso_pair_ratios :=
-            List.map (fun ((_, _, _, rc), (_, _, _, rk)) -> rk /. rc) pairs;
-        List.map
-          (fun compile ->
-            let passes = List.map (if compile then snd else fst) pairs in
-            let r, dt, mw, rate =
-              List.fold_left
-                (fun ((_, _, _, rb) as b) ((_, _, _, rp) as p) ->
-                  if rp > rb then p else b)
-                (List.hd passes) (List.tl passes)
-            in
-            let s = r.Litmus.Test.stats in
-            let mw_per_state =
-              if s.Explore.states = 0 then 0.
-              else mw /. float_of_int s.Explore.states
-            in
-            Hashtbl.replace comp_rates (mname, compile) rate;
-            let vs_closure =
-              match Hashtbl.find_opt comp_rates (mname, false) with
-              | Some rr when rr > 0. && compile -> Fmt.str "%.2f" (rate /. rr)
-              | _ -> "--"
-            in
-            records :=
-              Fmt.str
-                {|  {"workload": %S, "nprocs": %d, "model": %S,
+        records :=
+          Fmt.str
+            {|  {"workload": %S, "nprocs": %d, "model": %S,
    "engine": "mc j=1", "jobs": 1, "por": false, "symmetry": false,
-   "compiled": %b, "minor_words_per_state": %.1f,
+   "minor_words_per_state": %.1f,
    "reorder_bound": null, "bound_hits": 0, "bound_exact": true,
    "states": %d, "transitions": %d, "truncated": %b,
    "seconds": %.3f, "states_per_sec": %.0f,
    "steals": 0, "dedup_hits": 0, "prunes": 0,
    "speedup_vs_j1": null, "underprovisioned": false, "visited_skew": null}|}
-                fuzz_name fuzz_params.Fuzz.Gen.procs mname compile mw_per_state
-                s.Explore.states s.Explore.transitions s.Explore.truncated dt
-                rate
-              :: !records;
-            [
-              fuzz_name;
-              mname;
-              (if compile then "compiled" else "closure");
-              Report.icol s.Explore.states;
-              Report.icol s.Explore.transitions;
-              Fmt.str "%.2f" dt;
-              Fmt.str "%.0f" rate;
-              Fmt.str "%.0f" mw_per_state;
-              vs_closure;
-            ])
-          [ false; true ])
+            fuzz_name fuzz_params.Fuzz.Gen.procs mname mw_per_state
+            s.Explore.states s.Explore.transitions s.Explore.truncated dt rate
+          :: !records;
+        [
+          fuzz_name;
+          mname;
+          Report.icol s.Explore.states;
+          Report.icol s.Explore.transitions;
+          Fmt.str "%.2f" dt;
+          Fmt.str "%.0f" rate;
+          Fmt.str "%.0f" mw_per_state;
+        ])
       [ Memory_model.Pso; Memory_model.Ra; Memory_model.Sra ]
   in
   Report.print
     ~headers:
-      [
-        "workload"; "model"; "path"; "states"; "transitions"; "s"; "states/s";
-        "mw/st"; "vs closure";
-      ]
-    comp_rows;
+      [ "workload"; "model"; "states"; "transitions"; "s"; "states/s"; "mw/st" ]
+    fuzz_rows;
   if capped then
     Fmt.pr
       "@.Smoke run (BENCH_MC_CAP=%d): rates are noisy and BENCH_mc.json \
@@ -766,7 +711,7 @@ let mc () =
     (* Scaling is read only at a j the machine has cores for — the rule
        that gates speedup_vs_j1 above: a run racing more domains than
        CPUs measures contention, not scaling. *)
-    (match List.filter (fun j -> j > 1 && j <= cpus) jobs_sweep with
+    match List.filter (fun j -> j > 1 && j <= cpus) jobs_sweep with
     | [] ->
         Fmt.pr
           "@.guard: scaling not measured — no swept j in 2..%d \
@@ -790,31 +735,6 @@ let mc () =
             "guard: parallel scaling regression — j=%d aggregate %.0f st/s \
              vs j=1 %.0f st/s@."
             j rj r1;
-          exit 1
-        end);
-    (* compiled-layer floor. Measured in the optimized build, with
-       Instr's decoders inlined into Exec, the flat fast path is a
-       1.00-1.07x win on model-checking workloads, not the 2x a
-       dispatch-only argument would promise: ~420-580 minor
-       words/state go to state keying, copy-on-write config updates
-       and step records (see EXPERIMENTS E14). So this is a
-       no-regression guard — the compiled path must never fall behind
-       the raw closure interpreter beyond noise: the median of the
-       alternating pairs' ratios is held to the floor. *)
-    match List.sort compare !pso_pair_ratios with
-    | [] ->
-        Fmt.epr "guard: missing compiled-layer PSO rows@.";
-        exit 1
-    | sorted ->
-        let ratio = List.nth sorted (List.length sorted / 2) in
-        Fmt.pr
-          "@.guard: compiled / closure on %s (PSO), median of %d alternating \
-           pairs = %.2f (floor 0.90; pairs %s)@."
-          fuzz_name (List.length sorted) ratio
-          (String.concat " " (List.map (Fmt.str "%.2f") !pso_pair_ratios));
-        if ratio < 0.9 then begin
-          Fmt.epr "guard: compiled-layer regression — median pair ratio %.2f@."
-            ratio;
           exit 1
         end
   end

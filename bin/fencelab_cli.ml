@@ -82,17 +82,6 @@ let por_t =
         ~doc:
           "Partial-order reduction (safe-step persistent sets).")
 
-let no_compile_t =
-  Arg.(
-    value
-    & flag
-    & info [ "no-compile" ]
-        ~doc:
-          "Run programs on the raw closure interpreter — skip the flat-code \
-           translation and continuation sharing of the compiled execution \
-           layer. Semantics-identical (same outcomes, counts and verdicts); \
-           the escape hatch that keeps the uncompiled path exercised.")
-
 let symmetry_t =
   Arg.(
     value
@@ -227,6 +216,25 @@ let with_telemetry ~progress ~interval ~stats_out ~workers ~label f =
     ~finally:(fun () -> cleanup ~run_record:false [])
     (fun () -> f tel (fun ?records fields -> cleanup ~run_record:true ?records fields))
 
+(* Exit codes: 0 a clean verdict, 1 a finding (a violation or a
+   failure), 2 a clean run that did not establish its property — a
+   check or obstruction run printed as NO VIOLATION FOUND, cut short
+   by its state cap or checked under a reorder bound it did not
+   saturate. Usage errors keep cmdliner's 124. *)
+let exit_finding = 1
+let exit_inconclusive = 2
+
+let exits ?inconclusive finding =
+  Cmd.Exit.info exit_finding ~doc:finding
+  :: (match inconclusive with
+     | Some doc -> [ Cmd.Exit.info exit_inconclusive ~doc ]
+     | None -> [])
+  @ Cmd.Exit.defaults
+
+let finding msg =
+  Fmt.epr "fencelab: %s@." msg;
+  `Ok exit_finding
+
 (* Surface algorithm preconditions (e.g. Peterson is 2-process) and
    scheduler stalls as clean CLI errors rather than backtraces. *)
 let protect f =
@@ -237,7 +245,7 @@ let protect f =
 let locks_cmd =
   let run () =
     List.iter print_endline Locks.Registry.names;
-    `Ok ()
+    `Ok Cmd.Exit.ok
   in
   Cmd.v (Cmd.info "locks" ~doc:"List available lock algorithms")
     Term.(ret (const run $ const ()))
@@ -255,7 +263,7 @@ let passage_cmd =
       c.Fencelab.Experiment.rmr_dsm c.Fencelab.Experiment.rmr_cc
       c.Fencelab.Experiment.product
       (Fencelab.Tradeoff.floor_log_n ~nprocs);
-    `Ok ()
+    `Ok Cmd.Exit.ok
   in
   Cmd.v
     (Cmd.info "passage" ~doc:"Fence/RMR cost of one uncontended lock passage")
@@ -286,7 +294,7 @@ let sweep_cmd =
     Fencelab.Report.print
       ~headers:[ "f"; "lock"; "fences"; "rmr"; "f(log(r/f)+1)" ]
       rows;
-    `Ok ()
+    `Ok Cmd.Exit.ok
   in
   Cmd.v (Cmd.info "sweep" ~doc:"GT_f tradeoff sweep at a given process count")
     Term.(ret (const run $ nprocs_t))
@@ -309,12 +317,12 @@ let check_cmd =
           ~doc:"State cap for exploration, K >= 1.")
   in
   let run (name, factory) model nprocs rounds max_states trace jobs por
-      symmetry reorder_bound no_compile progress interval stats_out =
+      symmetry reorder_bound progress interval stats_out =
    protect @@ fun () ->
     with_telemetry ~progress ~interval ~stats_out ~workers:jobs ~label:"check"
     @@ fun tel finish ->
     let v =
-      Verify.Mutex_check.check ~tel ~compile:(not no_compile) ~rounds
+      Verify.Mutex_check.check ~tel ~rounds
         ~max_states ~engine:(`Parallel jobs) ~por ~symmetry ?reorder_bound
         ~model factory ~nprocs
     in
@@ -368,15 +376,23 @@ let check_cmd =
         let t, _ = Verify.Mutex_check.replay ~model factory ~nprocs ~rounds path in
         List.iter (fun s -> Fmt.pr "  %a@." Step.pp s) t
     | _ -> ());
-    if v.Verify.Mutex_check.holds then `Ok () else `Error (false, "check failed")
+    if not v.Verify.Mutex_check.holds then finding "check failed"
+    else if Verify.Mutex_check.inconclusive v then `Ok exit_inconclusive
+    else `Ok Cmd.Exit.ok
   in
   Cmd.v
-    (Cmd.info "check" ~doc:"Exhaustive mutual-exclusion / deadlock check")
+    (Cmd.info "check" ~doc:"Exhaustive mutual-exclusion / deadlock check"
+       ~exits:
+         (exits "on a violation: mutual exclusion, deadlock or a lost update."
+            ~inconclusive:
+              "when no violation was found but the run did not cover the \
+               state space: cut short by $(b,--max-states), or checked \
+               under a $(b,--reorder-bound) it did not saturate."))
     Term.(
       ret
         (const run $ lock_t $ model_t $ nprocs_t $ rounds_t $ max_states_t
        $ trace_t $ jobs_t $ por_t $ symmetry_t $ reorder_bound_t
-       $ no_compile_t $ progress_t $ interval_t $ stats_out_t))
+       $ progress_t $ interval_t $ stats_out_t))
 
 let stress_cmd =
   let seeds_t =
@@ -396,10 +412,12 @@ let stress_cmd =
     ignore name;
     let r = Verify.Stress.run ~seeds ~rounds ~model factory ~nprocs in
     Fmt.pr "%a@." Verify.Stress.pp_report r;
-    if r.Verify.Stress.failures = [] then `Ok ()
-    else `Error (false, "stress failures")
+    if r.Verify.Stress.failures = [] then `Ok Cmd.Exit.ok
+    else finding "stress failures"
   in
-  Cmd.v (Cmd.info "stress" ~doc:"Randomized stress test")
+  Cmd.v
+    (Cmd.info "stress" ~doc:"Randomized stress test"
+       ~exits:(exits "when some seeded run fails."))
     Term.(ret (const run $ lock_t $ model_t $ nprocs_t $ seeds_t $ rounds_t))
 
 let obstruction_cmd =
@@ -415,12 +433,18 @@ let obstruction_cmd =
     ignore name;
     let v = Verify.Obstruction.check ~max_states ~model factory ~nprocs in
     Fmt.pr "%a@." Verify.Obstruction.pp_verdict v;
-    if v.Verify.Obstruction.holds then `Ok ()
-    else `Error (false, "not obstruction-free")
+    if not v.Verify.Obstruction.holds then finding "not obstruction-free"
+    else if Verify.Obstruction.inconclusive v then `Ok exit_inconclusive
+    else `Ok Cmd.Exit.ok
   in
   Cmd.v
     (Cmd.info "obstruction"
-       ~doc:"Check weak obstruction-freedom (the paper's Section 2 property)")
+       ~doc:"Check weak obstruction-freedom (the paper's Section 2 property)"
+       ~exits:
+         (exits "when a process strands running solo."
+            ~inconclusive:
+              "when no process strands but the run was cut short by \
+               $(b,--max-states)."))
     Term.(ret (const run $ lock_t $ model_t $ nprocs_t $ max_states_t))
 
 let litmus_cmd =
@@ -439,8 +463,7 @@ let litmus_cmd =
                they have no write buffer to meter — and naming one \
                explicitly is an error."))
   in
-  let run test model jobs por reorder_bound no_compile progress interval
-      stats_out =
+  let run test model jobs por reorder_bound progress interval stats_out =
    protect @@ fun () ->
     (* no --symmetry here: litmus verdicts project per-pid outcomes,
        which orbit merging would conflate *)
@@ -501,8 +524,8 @@ let litmus_cmd =
                     :: !skips
               | None ->
                   let r =
-                    Litmus.Test.run ~tel ~compile:(not no_compile) ~engine
-                      ~por ?reorder_bound t ~model
+                    Litmus.Test.run ~tel ~engine ~por ?reorder_bound t
+                      ~model
                   in
                   incr runs;
                   states := !states + r.Litmus.Test.stats.Explore.states;
@@ -523,13 +546,13 @@ let litmus_cmd =
             ("transitions", I !transitions);
             ("bound_hits", I !hits);
           ];
-      `Ok ()
+      `Ok Cmd.Exit.ok
   in
   Cmd.v (Cmd.info "litmus" ~doc:"Reachable litmus outcomes per memory model")
     Term.(
       ret
         (const run $ test_t $ one_model_t $ jobs_t $ por_t $ reorder_bound_t
-       $ no_compile_t $ progress_t $ interval_t $ stats_out_t))
+       $ progress_t $ interval_t $ stats_out_t))
 
 let fuzz_cmd =
   let seed_t =
@@ -616,11 +639,11 @@ let fuzz_cmd =
            Fmt.epr "could not write artifact: %s@." msg))
       summary.Fuzz.findings;
     Fmt.pr "%a@." Fuzz.pp_summary summary;
-    if summary.Fuzz.findings = [] then `Ok ()
-    else `Error (false, "fuzz oracle violations")
+    if summary.Fuzz.findings = [] then `Ok Cmd.Exit.ok
+    else finding "fuzz oracle violations"
   in
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cmd.info "fuzz" ~exits:(exits "when an oracle finds a violation.")
        ~doc:
          "Differential fuzzing: generated programs through the model-nesting, \
           engine-parity, fence-saturation and random-schedule oracles, with \
@@ -765,7 +788,7 @@ let synth_cmd =
             output_char oc '\n';
             close_out oc;
             Fmt.epr "frontier written to %s@." path);
-        `Ok ()
+        `Ok Cmd.Exit.ok
   in
   Cmd.v
     (Cmd.info "synth"
@@ -849,8 +872,8 @@ let serve_cmd =
       Serve.Daemon.run ~window ~checkpoint_every ?checkpoint_dir ?stats_out
         ?crash_after_checkpoints:crash_after ~watch source
     in
-    if Serve.Daemon.exit_code r = 0 then `Ok ()
-    else `Error (false, "serve: rejected or failed jobs")
+    if Serve.Daemon.exit_code r = 0 then `Ok Cmd.Exit.ok
+    else finding "serve: rejected or failed jobs"
   in
   Cmd.v
     (Cmd.info "serve"
@@ -858,7 +881,8 @@ let serve_cmd =
          "Job-queue daemon: JSON job specs (check/litmus/fuzz/synth/atlas) \
           from stdin or a spool directory, executed across a bounded pool \
           of domains with per-job NDJSON telemetry and checkpoint/resume \
-          for long explorations")
+          for long explorations"
+       ~exits:(exits "when a job is rejected or fails."))
     Term.(
       ret
         (const run $ spool_t $ window_t $ checkpoint_every_t
@@ -908,7 +932,7 @@ let encode_cmd =
         (Option.value ~default:Encoding.Cstack.empty
            (Pid.Map.find_opt p r.Encoding.Encoder.stacks))
     done;
-    `Ok ()
+    `Ok Cmd.Exit.ok
   in
   Cmd.v
     (Cmd.info "encode" ~doc:"Run the Section 5 encoder on a permutation")
@@ -917,7 +941,7 @@ let encode_cmd =
 let () =
   let doc = "the fence/RMR tradeoff laboratory (PODC'15 reproduction)" in
   exit
-    (Cmd.eval
+    (Cmd.eval'
        (Cmd.group (Cmd.info "fencelab" ~doc)
           [
             locks_cmd; passage_cmd; sweep_cmd; check_cmd; stress_cmd;

@@ -45,11 +45,11 @@ type run = {
           true unbounded. *)
 }
 
-let configure ?compile test ~model =
+let configure test ~model =
   let nprocs = Array.length (test.programs (Array.init test.nregs Fun.id)) in
   let layout = Layout.flat ~nprocs ~nregs:test.nregs in
   let regs = Array.init test.nregs Fun.id in
-  (regs, Config.make ?compile ~model ~layout (test.programs regs))
+  (regs, Config.make ~model ~layout (test.programs regs))
 
 (** The outcome of a final configuration: per-process return values
     ([-1] for a process that has not returned), then the committed
@@ -68,9 +68,8 @@ let outcome test regs final =
     preserves the outcome set (all quiescent states are still reached)
     while visiting fewer states. [tel] plugs a {!Telemetry.Hub.t} into
     the exploration for live progress and stats (see {!Mc.run}). *)
-let run ?tel ?compile ?max_states ?engine ?por ?reorder_bound test ~model : run
-    =
-  let regs, cfg = configure ?compile test ~model in
+let run ?tel ?max_states ?engine ?por ?reorder_bound test ~model : run =
+  let regs, cfg = configure test ~model in
   let observe = outcome test regs in
   match reorder_bound with
   | None ->
@@ -152,7 +151,7 @@ let separation ~stronger ~weaker =
     (each process runs alone, in pid order, over the cumulative state —
     so spins awaiting an earlier process's write terminate). Valid for
     tests whose processes execute their fences in fixed program-text
-    order, which holds for the whole corpus and for compiled fuzz
+    order, which holds for the whole corpus and for generated fuzz
     programs. *)
 let fence_sites test =
   let _regs, cfg = configure test ~model:Memory_model.Sc in

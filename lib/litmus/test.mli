@@ -29,12 +29,9 @@ type run = {
           {!pp_run} flags it as ["reorder-bound K subset"]. *)
 }
 
-(** [compile] (default [true]) is {!Memsim.Config.make}'s flag: flat
-    translation / continuation sharing on, or the raw
-    closure-interpreter path ([--no-compile], and the parity suite's
-    reference side). Semantics-invisible either way. *)
-val configure :
-  ?compile:bool -> t -> model:Memory_model.t -> Reg.t array * Config.t
+(** The test's registers and its initial configuration
+    ({!Memsim.Config.make}). *)
+val configure : t -> model:Memory_model.t -> Reg.t array * Config.t
 
 (** The outcome of a final configuration: per-process return values
     ([-1] for a process that has not returned), then the committed
@@ -50,7 +47,7 @@ val outcome : t -> Reg.t array -> Config.t -> outcome
     the enumeration to executions within a reorder budget ([`K k]) or
     iteratively deepens until the set saturates ([`Deepen]). *)
 val run :
-  ?tel:Telemetry.Hub.t -> ?compile:bool ->
+  ?tel:Telemetry.Hub.t ->
   ?max_states:int -> ?engine:Mc.engine -> ?por:bool ->
   ?reorder_bound:[ `K of int | `Deepen ] ->
   t -> model:Memory_model.t -> run

@@ -1,42 +1,22 @@
-(** Program compilation: flat-code translation for value-oblivious
-    programs, closure-tree sharing for the data-dependent rest.
-
-    {!program} first tries {!flatten}: a bounded unrolling of the
-    closure tree into the {!Instr} flat IR, validated by three probe
-    passes (distinct observation environments must all emit identical
-    code). Straight-line litmus threads with constant returns and
-    fence-masked variants of flat code flatten; fuzz-generated
-    programs arrive pre-flattened (constructively, by [Fuzz.Gen]).
-    Programs whose shape, immediates or return value depend on
-    observed values — lock fragments that compute (bakery's maximum
-    scan) or predicate on (spin loops) their data, threads returning
-    their observations — are rejected by the probes and fall back to
-    sharing.
+(** Continuation sharing: the one program-execution path.
 
     Sharing rewrites a {!Program.t} so every continuation is memoized
     on its argument: the first force of [k v] builds (and recursively
     shares) the successor node, every later force returns the same
     node — exploration stops paying the CPS rebuild tax at positions
-    it has already visited. Each memo table is bounded by [fanout]
-    distinct arguments; beyond the bound the raw closure is called
-    instead (the uncompiled interpreter path — bit-for-bit the same
-    program, just unshared), which is the fallback contract for
-    fragments data-dependent beyond the memo bound.
+    it has already visited. Each memo table is bounded by a fan-out
+    constant of distinct arguments (64); beyond the bound the raw
+    closure is called instead — bit-for-bit the same program, just
+    unshared.
 
     Contract: continuations must be pure up to observation (forcing
     [k v] twice yields equivalent subtrees) — true of every tree the
     [Program] combinators build. Sharing is domain-safe (atomic
-    publication; a lost race returns the winner's node). Flat
-    ({!Instr}) programs pass through untouched. *)
+    publication; a lost race returns the winner's node). *)
 
-val default_fanout : int
-
-(** Probe-validated translation to flat code: [Some] a {!Program.Flat}
-    program exactly equivalent to the input, or [None] when the
-    program is outside the IR (value-dependent shape or immediates,
-    data-dependent spins, [Spinv], oversized operands, or unrolling
-    past the internal bound). See the module header for the contract
-    and the implementation for the probe scheme. *)
-val flatten : Program.t -> Program.t option
-
-val program : ?fanout:int -> Program.t -> Program.t
+val share : Program.t -> Program.t
+(** Rewrite a program so every continuation is memoized (see the
+    module header for the contract and the fan-out fallback). The
+    identity up to observation: walking [share p] and [p] side by side
+    yields the same nodes, operands, labels and return values on every
+    path. *)

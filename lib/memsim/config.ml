@@ -455,24 +455,15 @@ let initial_pstate prog =
 
 (** [make ~model ~layout programs] builds the initial configuration
     [C_init]: process [p] runs [programs.(p)], all buffers empty, all
-    registers at their layout-declared initial values.
-
-    [compile] (default [true]) runs each program through
-    {!Compile.program} — continuation sharing for closure trees, a
-    pass-through for flat code — which is the identity up to
-    observation; [~compile:false] keeps the raw closure interpreter
-    path (the [--no-compile] escape hatch, and the reference side of
-    the compiled-vs-closure parity suite). *)
-let make ?(compile = true) ~model ~layout programs =
+    registers at their layout-declared initial values. Every program
+    runs through {!Compile.share} (continuation sharing, the identity
+    up to observation). *)
+let make ~model ~layout programs =
   let nprocs = Layout.nprocs layout in
   if Array.length programs <> nprocs then
     Fmt.invalid_arg "Config.make: %d programs for %d processes"
       (Array.length programs) nprocs;
-  let programs =
-    if compile then Array.map (fun p -> Compile.program p) programs
-    else programs
-  in
-  let procs = Array.map initial_pstate programs in
+  let procs = Array.map (fun p -> initial_pstate (Compile.share p)) programs in
   let label_mask = ref 0 in
   Array.iteri (fun p st -> label_mask := mask_with !label_mask p st.prog) procs;
   let nregs = Layout.nregs layout in

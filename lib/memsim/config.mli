@@ -148,13 +148,9 @@ type t = {
 }
 
 (** [make ~model ~layout programs] is the initial configuration
-    [C_init]. [compile] (default [true]) runs each program through
-    {!Compile.program} — semantics-invisible continuation sharing;
-    [~compile:false] keeps the raw closure-interpreter path (the
-    [--no-compile] escape hatch and the parity suite's reference). *)
-val make :
-  ?compile:bool -> model:Memory_model.t -> layout:Layout.t ->
-  Program.t array -> t
+    [C_init]. Every program runs through {!Compile.share} —
+    semantics-invisible continuation sharing. *)
+val make : model:Memory_model.t -> layout:Layout.t -> Program.t array -> t
 
 (** Per-process complexity counters, assembled from the process states
     (where they live, so an execution step updates one map, not two). *)

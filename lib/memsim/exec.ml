@@ -258,9 +258,9 @@ let rec round_tuples store view acc = function
     blocked rule would also suppress. *)
 let view_choices cfg (st : Config.pstate) : vchoice list =
   let store = Config.store_exn cfg in
-  match (Program.reify st.Config.prog : Program.t) with
+  match (st.Config.prog : Program.t) with
   | Program.Done _ -> []
-  | Label _ | Flat _ -> assert false
+  | Label _ -> assert false
   | Ret _ | Fence _ | Cas _ | Swap _ | Faa _ -> [ VDet ]
   | Read (r, _) ->
       List.map
@@ -621,7 +621,7 @@ let view_op_step cfg p (st : Config.pstate) idx :
         Fmt.invalid_arg "Exec: view choice %d out of range (%d available)" idx
           (List.length choices)
   | Some c -> (
-      match ((Program.reify st.Config.prog : Program.t), c) with
+      match ((st.Config.prog : Program.t), c) with
       | Program.Ret v, VDet ->
           let d = Program.Done v in
           let st =
@@ -839,91 +839,12 @@ let cas_op cfg p (st : Config.pstate) r ~expect ~update ~read ~success ~prog =
    current state, [prog = st.prog]). Returns [None] when [p] has no
    step to take: it is final, or blocked on a spin whose register
    still holds the value it last observed. Otherwise the steps
-   produced, the successor, and whether committed memory changed.
-
-   The [Flat] case is the compiled fast path: opcodes dispatch
-   straight into the helpers above, and the successor program is the
-   advanced frame — per step, one frame and one [Flat] box, no tree
-   node and no closure. Every other constructor is the closure
-   interpreter; {!Program.reify} bridges any flat instruction the fast
-   path declines (defensive only — labels are pre-consumed and jumps
-   pre-resolved, so it should be unreachable). *)
-let rec op_step cfg p (st : Config.pstate) ~wb prog :
+   produced, the successor, and whether committed memory changed. *)
+let op_step cfg p (st : Config.pstate) ~wb prog :
     (Step.t list * Config.t * bool) option =
   match (prog : Program.t) with
   | Program.Done _ -> None
   | Label _ -> assert false
-  | Flat fr ->
-      let tag = Instr.opcode fr in
-      if tag = Instr.t_read then begin
-        let r = Instr.arg_a fr in
-        let e =
-          if cfg.Config.buffered then Wbuf.find_entry st.Config.wb r
-          else Wbuf.no_entry
-        in
-        let fw = e != Wbuf.no_entry in
-        let v = if fw then e.Wbuf.value else Config.read_mem cfg r in
-        let step, cfg =
-          read_step cfg p st ~wb r v fw
-            ~prog:(Program.Flat (Instr.advance_obs fr v))
-        in
-        Some ([ step ], cfg, false)
-      end
-      else if tag = Instr.t_write then
-        write_op cfg p st ~wb (Instr.arg_a fr) (Instr.arg_b fr)
-          ~prog:(Program.Flat (Instr.advance fr))
-      else if tag = Instr.t_spin then begin
-        let r = Instr.arg_a fr in
-        let e =
-          if cfg.Config.buffered then Wbuf.find_entry st.Config.wb r
-          else Wbuf.no_entry
-        in
-        let fw = e != Wbuf.no_entry in
-        let v = if fw then e.Wbuf.value else Config.read_mem cfg r in
-        if Program.flat_spin_pred v then
-          let step, cfg =
-            read_step cfg p st ~wb r v fw
-              ~prog:(Program.Flat (Instr.advance_obs fr v))
-          in
-          Some ([ step ], cfg, false)
-        else begin
-          match st.Config.last_read with
-          | Some (r', v') when Reg.equal r r' && v = v' -> None
-          | Some _ | None ->
-              let step, cfg = read_step cfg p st ~wb r v fw ~prog in
-              Some ([ step ], cfg, false)
-        end
-      end
-      else if tag = Instr.t_ret then ret_op cfg p st ~wb (Instr.ret_value fr)
-      else if tag = Instr.t_fence then
-        fence_op cfg p st ~prog:(Program.Flat (Instr.advance fr))
-      else if tag = Instr.t_cas then begin
-        let r = Instr.arg_a fr in
-        let expect = Instr.arg_b fr and update = Instr.arg_c fr in
-        let read = Config.read_mem cfg r in
-        let success = read = expect in
-        cas_op cfg p st r ~expect ~update ~read ~success
-          ~prog:(Program.Flat (Instr.advance_obs fr (b2i success)))
-      end
-      else if tag = Instr.t_swap then begin
-        let r = Instr.arg_a fr in
-        let read = Config.read_mem cfg r in
-        let step, cfg =
-          rmw_op cfg p st r ~op:`Swap ~arg:(Instr.arg_b fr) ~read
-            ~prog:(Program.Flat (Instr.advance_obs fr read))
-        in
-        Some ([ step ], cfg, true)
-      end
-      else if tag = Instr.t_faa then begin
-        let r = Instr.arg_a fr in
-        let read = Config.read_mem cfg r in
-        let step, cfg =
-          rmw_op cfg p st r ~op:`Faa ~arg:(Instr.arg_b fr) ~read
-            ~prog:(Program.Flat (Instr.advance_obs fr read))
-        in
-        Some ([ step ], cfg, true)
-      end
-      else op_step cfg p st ~wb (Program.reify prog)
   | Ret v -> ret_op cfg p st ~wb v
   | Read (r, k) ->
       let e =
@@ -1204,34 +1125,19 @@ let blocked cfg (st : Config.pstate) =
           else { st with Config.prog = st.Config.skipped })
        = []
   else
-    match st.Config.skipped with
-    | Program.Flat fr ->
-        (* compiled fast path: only a spin can block, and flat spins all
-           use {!Program.flat_spin_pred} — no reification needed *)
-        Instr.opcode fr = Instr.t_spin
-        && begin
-             let r = Instr.arg_a fr in
-             let v = visible_only cfg st r in
-             (not (Program.flat_spin_pred v))
-             &&
-             match st.Config.last_read with
-             | Some (r', v') -> Reg.equal r r' && v = v'
-             | None -> false
-           end
-    | _ -> (
-  (* dispatch on the cached post-label program directly; the spin
-     probes below read only [wb]/[last_read], which labels don't touch *)
-  match (Program.reify st.Config.skipped : Program.t) with
-  | Program.Spin (r, pred, _) -> (
-      let v = visible_only cfg st r in
-      (not (pred v))
-      &&
-      match st.Config.last_read with
-      | Some (r', v') -> Reg.equal r r' && v = v'
-      | None -> false)
-  | Program.Spinv (regs, prev, _, _) ->
-      prev = Some (List.map (fun r -> visible_only cfg st r) regs)
-  | Done _ | Ret _ | Read _ | Write _ | Fence _ | Cas _ | Swap _ | Faa _
-  | Label _ | Flat _ -> false)
+    (* dispatch on the cached post-label program directly; the spin
+       probes below read only [wb]/[last_read], which labels don't touch *)
+    match (st.Config.skipped : Program.t) with
+    | Program.Spin (r, pred, _) -> (
+        let v = visible_only cfg st r in
+        (not (pred v))
+        &&
+        match st.Config.last_read with
+        | Some (r', v') -> Reg.equal r r' && v = v'
+        | None -> false)
+    | Program.Spinv (regs, prev, _, _) ->
+        prev = Some (List.map (fun r -> visible_only cfg st r) regs)
+    | Done _ | Ret _ | Read _ | Write _ | Fence _ | Cas _ | Swap _ | Faa _
+    | Label _ -> false
 
 let is_blocked cfg p = blocked cfg (Config.pstate cfg p)

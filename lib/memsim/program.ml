@@ -55,12 +55,6 @@ type t =
           commits by other processes interleave freely {e within} a
           round; only round starts are elided. *)
   | Label of string * (unit -> t)
-  | Flat of Instr.frame
-      (** compiled position in flat code (see {!Instr}): the process
-          is poised at [frame.pc], its packed observation log is
-          [frame.acc]. Executors either handle the frame directly or
-          expand one instruction via {!reify}; never [Done] (a
-          process at [IRet] still owes its observable return step). *)
 
 (** Direct-style layer: ['a m] is a program fragment producing ['a]. *)
 type 'a m = ('a -> t) -> t
@@ -119,50 +113,6 @@ let run (m : int m) : t = m (fun x -> Ret x)
 (** Run a unit fragment and return [v]. *)
 let run_unit (m : unit m) ~returns : t = m (fun () -> Ret returns)
 
-(** A program running compiled flat code from its entry point. *)
-let flat code = Flat (Instr.frame code)
-
-(* Flat spins are always-satisfiable observes; the predicate below has
-   the same truth table as the one [Fuzz.Gen] compiles ([fun v -> v >=
-   0] over non-negative values), so the flat and closure builds of a
-   generated program block (never) and observe identically. *)
-let flat_spin_pred v = v >= 0
-
-(** Expand the single instruction a {!Flat} program is poised at into
-    the equivalent tree node, whose continuations produce [Flat]
-    frames again; the identity on every other constructor. Executor
-    paths that dispatch on tree constructors (the view backend, POR
-    footprints, fence masking) go through this, so flat code needs no
-    second copy of their logic. *)
-let reify = function
-  | Flat fr ->
-      let tag = Instr.opcode fr in
-      if tag = Instr.t_ret then Ret (Instr.ret_value fr)
-      else if tag = Instr.t_read then
-        Read (Instr.arg_a fr, fun v -> Flat (Instr.advance_obs fr v))
-      else if tag = Instr.t_write then
-        Write (Instr.arg_a fr, Instr.arg_b fr, fun () -> Flat (Instr.advance fr))
-      else if tag = Instr.t_fence then Fence (fun () -> Flat (Instr.advance fr))
-      else if tag = Instr.t_cas then
-        Cas
-          ( Instr.arg_a fr,
-            Instr.arg_b fr,
-            Instr.arg_c fr,
-            fun ok -> Flat (Instr.advance_obs fr (Bool.to_int ok)) )
-      else if tag = Instr.t_swap then
-        Swap (Instr.arg_a fr, Instr.arg_b fr, fun old ->
-            Flat (Instr.advance_obs fr old))
-      else if tag = Instr.t_faa then
-        Faa (Instr.arg_a fr, Instr.arg_b fr, fun old ->
-            Flat (Instr.advance_obs fr old))
-      else if tag = Instr.t_spin then
-        Spin (Instr.arg_a fr, flat_spin_pred, fun v ->
-            Flat (Instr.advance_obs fr v))
-      else if tag = Instr.t_label then
-        Label (Instr.label_text fr, fun () -> Flat (Instr.advance fr))
-      else assert false
-  | t -> t
-
 type op_kind =
   | Op_read
   | Op_write
@@ -183,35 +133,15 @@ let rec next_kind = function
   | Cas _ | Swap _ | Faa _ -> Op_cas
   | Spin _ | Spinv _ -> Op_spin
   | Label (_, k) -> next_kind (k ())
-  | Flat fr -> flat_kind fr
-
-and flat_kind fr =
-  let tag = Instr.opcode fr in
-  if tag = Instr.t_label then flat_kind (Instr.advance fr)
-  else if tag = Instr.t_ret then Op_return (Instr.ret_value fr)
-  else if tag = Instr.t_read then Op_read
-  else if tag = Instr.t_write then Op_write
-  else if tag = Instr.t_fence then Op_fence
-  else if tag = Instr.t_spin then Op_spin
-  else Op_cas (* cas, swap, faa *)
 
 let rec skip_labels ~emit = function
   | Label (s, k) ->
       emit s;
       skip_labels ~emit (k ())
-  | Flat fr as t ->
-      if Instr.opcode fr <> Instr.t_label then t
-      else begin
-        emit (Instr.label_text fr);
-        skip_labels ~emit (Flat (Instr.advance fr))
-      end
   | p -> p
 
 (** Is the program poised at a (pending) label? *)
-let at_label = function
-  | Label _ -> true
-  | Flat fr -> Instr.opcode fr = Instr.t_label
-  | _ -> false
+let at_label = function Label _ -> true | _ -> false
 
 (** [skip_labels] without emission. Physically the argument itself
     when there is no leading label — so [post_labels t != t] is an
@@ -263,81 +193,10 @@ let mask_walk ?marker ?stop ~keep base t =
     | Spin (r, pred, k) -> Spin (r, pred, fun v -> walk i (k v))
     | Spinv (rs, prev, pred, k) ->
         Spinv (rs, prev, pred, fun vs -> walk i (k vs))
-    | Flat _ as t ->
-        (* expand one instruction; its continuations produce [Flat]
-           frames that re-enter this case lazily, so flat code is
-           masked exactly like a tree *)
-        walk i (reify t)
   in
   walk base t
 
-(* Masking flat code stays flat: rebuild the instruction array with
-   dropped fences elided and marker labels inserted. Straight-line
-   flat code executes in array order, so the array order of [t_fence]
-   instructions is the tree walk's path order and the site numbering
-   agrees. Codes containing jumps (which no current producer emits)
-   and frames past the entry point fall back to the lazy tree walk
-   above. *)
-let mask_flat ?marker ~keep base (fr : Instr.frame) : t option =
-  let code = fr.Instr.code in
-  let len = Array.length code.Instr.ops in
-  let at pc = { fr with Instr.pc } in
-  let entry = Instr.frame code in
-  let straight_line =
-    fr.Instr.pc = entry.Instr.pc
-    && fr.Instr.acc = 0
-    &&
-    let ok = ref true in
-    for pc = 0 to len - 1 do
-      if Instr.opcode (at pc) = Instr.t_jmp then ok := false
-    done;
-    !ok
-  in
-  if not straight_line then None
-  else
-    match
-      let b = Instr.create () in
-      let site = ref base in
-      for pc = 0 to len - 1 do
-        let f = at pc in
-        let tag = Instr.opcode f in
-        if tag = Instr.t_fence then begin
-          let i = !site in
-          incr site;
-          (match marker with
-          | Some m -> Instr.emit_label b (m i)
-          | None -> ());
-          if keep i then Instr.emit_fence b
-        end
-        else if tag = Instr.t_read then Instr.emit_read b (Instr.arg_a f)
-        else if tag = Instr.t_write then
-          Instr.emit_write b (Instr.arg_a f) (Instr.arg_b f)
-        else if tag = Instr.t_cas then
-          Instr.emit_cas b (Instr.arg_a f) ~expect:(Instr.arg_b f)
-            ~update:(Instr.arg_c f)
-        else if tag = Instr.t_swap then
-          Instr.emit_swap b (Instr.arg_a f) (Instr.arg_b f)
-        else if tag = Instr.t_faa then
-          Instr.emit_faa b (Instr.arg_a f) ~add:(Instr.arg_b f)
-        else if tag = Instr.t_spin then Instr.emit_spin b (Instr.arg_a f)
-        else if tag = Instr.t_label then Instr.emit_label b (Instr.label_text f)
-        else if tag = Instr.t_ret then
-          if Instr.arg_a f = 0 then Instr.emit_ret b
-          else Instr.emit_ret_const b (Instr.arg_b f)
-        else raise (Invalid_argument "mask_flat: unknown opcode")
-      done;
-      Instr.finish b
-    with
-    | masked -> Some (flat masked)
-    | exception Invalid_argument _ -> None
-
-let mask_fences ?marker ?(base = 0) ~keep t =
-  match t with
-  | Flat fr -> (
-      match mask_flat ?marker ~keep base fr with
-      | Some t' -> t'
-      | None -> mask_walk ?marker ~keep base t)
-  | _ -> mask_walk ?marker ~keep base t
+let mask_fences ?marker ?(base = 0) ~keep t = mask_walk ?marker ~keep base t
 
 let mask_fragment ?marker ~keep ~base (frag : unit m) : unit m =
  fun k ->

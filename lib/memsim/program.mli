@@ -32,9 +32,6 @@ type t =
           observations (carried in the [int list option]) *)
   | Label of string * (unit -> t)
       (** zero-cost annotation, consumed transparently by the executor *)
-  | Flat of Instr.frame
-      (** compiled position in flat code (see {!Instr}); never [Done] —
-          a process at [IRet] still owes its observable return step *)
 
 (** Direct-style fragments: ['a m] produces an ['a]. *)
 type 'a m = ('a -> t) -> t
@@ -74,22 +71,6 @@ val fold_m : ('acc -> 'a -> 'acc m) -> 'acc -> 'a list -> 'acc m
 val run : int m -> t
 
 val run_unit : unit m -> returns:int -> t
-
-(** A program running compiled flat code from its entry point. *)
-val flat : Instr.code -> t
-
-(** The predicate of a flat spin ([fun v -> v >= 0]): truth-table
-    identical to the one generated spins use, and the {e only}
-    predicate the flat translator accepts (compared physically), so
-    flat and closure builds block and observe identically. *)
-val flat_spin_pred : int -> bool
-
-(** Expand the single instruction a {!Flat} program is poised at into
-    the equivalent tree node (continuations produce [Flat] frames
-    again); the identity on every other constructor. Lets
-    constructor-dispatching paths (view backend, POR footprints, fence
-    masking) handle flat code without duplicating its logic. *)
-val reify : t -> t
 
 type op_kind =
   | Op_read

@@ -63,6 +63,11 @@ let pp_verdict ppf v =
     v.stats.Explore.states
     (if v.stats.Explore.truncated then ", truncated" else "")
 
+let inconclusive v =
+  v.holds
+  && (v.stats.Explore.truncated
+     || match v.reorder_bound with Some _ -> not v.bound_exact | None -> false)
+
 (** Monitor: the set of processes currently inside a critical section;
     errors out the moment two overlap. Monitor state is a function of
     program positions, as {!Mc.run} requires. *)
@@ -88,7 +93,7 @@ let cs_monitor occupancy (step : Step.t) =
     exclusion holds, the counter's final value is exactly the total
     number of passages; a lost update betrays an overlap even if the
     label monitor were blind to it. *)
-let workload ?compile ~model (factory : Locks.Lock.factory) ~nprocs ~rounds =
+let workload ~model (factory : Locks.Lock.factory) ~nprocs ~rounds =
   if rounds < 1 then
     Fmt.invalid_arg "Mutex_check.workload: rounds %d < 1" rounds;
   let builder = Layout.Builder.create ~nprocs in
@@ -114,16 +119,16 @@ let workload ?compile ~model (factory : Locks.Lock.factory) ~nprocs ~rounds =
     run (go rounds)
   in
   let programs = Array.init nprocs program in
-  (lock, counter, Config.make ?compile ~model ~layout programs)
+  (lock, counter, Config.make ~model ~layout programs)
 
-let check ?tel ?compile ?(rounds = 1) ?max_states ?max_depth ?expected_states
+let check ?tel ?(rounds = 1) ?max_states ?max_depth ?expected_states
     ?report_visited ?(engine = `Parallel 1) ?(por = false) ?(symmetry = false)
     ?reorder_bound ?checkpoint ?resume ~model factory ~nprocs : verdict =
   if symmetry && reorder_bound <> None then
     invalid_arg "Mutex_check.check: ~symmetry and ~reorder_bound are exclusive";
   if (checkpoint <> None || resume <> None) && reorder_bound = Some `Deepen then
     invalid_arg "Mutex_check.check: ~checkpoint/~resume do not apply to `Deepen";
-  let lock, counter, cfg = workload ?compile ~model factory ~nprocs ~rounds in
+  let lock, counter, cfg = workload ~model factory ~nprocs ~rounds in
   let lost_update = ref false in
   let on_final final _ =
     if Config.read_mem final counter <> nprocs * rounds then

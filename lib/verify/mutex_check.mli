@@ -38,6 +38,11 @@ type verdict = {
 
 val pp_verdict : verdict Fmt.t
 
+(** A clean verdict that does not establish the property — the run was
+    truncated, or checked under a reorder bound it did not saturate —
+    which {!pp_verdict} prints as ["NO VIOLATION FOUND"]. *)
+val inconclusive : verdict -> bool
+
 (** Critical-section occupancy monitor over ["cs:enter"]/["cs:exit"]
     notes; errors on overlap. *)
 val cs_monitor : Pid.Set.t -> Step.t -> (Pid.Set.t, string) result
@@ -47,8 +52,8 @@ val cs_monitor : Pid.Set.t -> Step.t -> (Pid.Set.t, string) result
     the counter register, and the initial configuration. Raises
     [Invalid_argument] when [rounds < 1]. *)
 val workload :
-  ?compile:bool -> model:Memory_model.t -> Locks.Lock.factory -> nprocs:int ->
-  rounds:int -> Locks.Lock.t * Reg.t * Config.t
+  model:Memory_model.t -> Locks.Lock.factory -> nprocs:int -> rounds:int ->
+  Locks.Lock.t * Reg.t * Config.t
 
 (** [engine] sets the domain count: [`Parallel j] runs the [Mc]
     engine over [j] domains ([`Parallel 1] by default), optionally with
@@ -78,7 +83,7 @@ val workload :
     under [`Deepen] (raises [Invalid_argument]): deepen re-seeds its
     own boundary between levels. *)
 val check :
-  ?tel:Telemetry.Hub.t -> ?compile:bool ->
+  ?tel:Telemetry.Hub.t ->
   ?rounds:int -> ?max_states:int -> ?max_depth:int ->
   ?expected_states:int -> ?report_visited:(Mc.Visited.stats -> unit) ->
   ?engine:Mc.engine -> ?por:bool ->

@@ -38,6 +38,8 @@ let pp_verdict ppf v =
     v.stats.Explore.states
     (if v.stats.Explore.truncated then ", truncated" else "")
 
+let inconclusive v = v.holds && v.stats.Explore.truncated
+
 let initial_or_final cfg q =
   let st = Config.pstate cfg q in
   (st.Config.ops = 0 && Wbuf.is_empty st.Config.wb)

@@ -15,6 +15,10 @@ type verdict = {
 
 val pp_verdict : verdict Fmt.t
 
+(** A clean run cut short by its state cap, which {!pp_verdict} prints
+    as ["NO VIOLATION FOUND"]. *)
+val inconclusive : verdict -> bool
+
 val check :
   ?rounds:int -> ?max_states:int -> ?max_depth:int -> model:Memory_model.t ->
   Locks.Lock.factory -> nprocs:int -> verdict

@@ -1,245 +1,147 @@
-(* The compiled execution layer: flat-IR encode/decode round-trips,
-   probe-validated flattening (what compiles, what honestly falls
-   back), flat fence masking, the post-label forcing-count pin, and
-   the compiled-vs-closure parity suite over generated programs —
-   outcome sets, state counts and transition counts must be identical
-   at every model x engine combination. *)
+(* Continuation sharing, the one program-execution path: a side-by-side
+   walk of [Compile.share p] against the raw tree [p] over generated
+   programs, every registered lock's passages and the litmus corpus;
+   fence masking (full and empty masks, marker notes); and the
+   post-label forcing-count pin. *)
 
 open Memsim
 module P = Program
 
 (* ------------------------------------------------------------------ *)
-(* Instr: encode/decode                                                *)
+(* Sharing is the identity: shared tree vs raw tree                    *)
 (* ------------------------------------------------------------------ *)
 
-let instr_roundtrip () =
-  let b = Instr.create () in
-  Instr.emit_read b 3;
-  Instr.emit_write b 1 42;
-  Instr.emit_fence b;
-  Instr.emit_cas b 2 ~expect:5 ~update:7;
-  Instr.emit_swap b 0 9;
-  Instr.emit_faa b 4 ~add:2;
-  Instr.emit_spin b 1;
-  Instr.emit_label b "here";
-  Instr.emit_ret b;
-  let code = Instr.finish b in
-  let fr = Instr.frame code in
-  Alcotest.(check int) "read op" Instr.t_read (Instr.opcode fr);
-  Alcotest.(check int) "read reg" 3 (Instr.arg_a fr);
-  let fr = Instr.advance_obs fr 5 in
-  Alcotest.(check int) "acc packs the observation" 5 fr.Instr.acc;
-  Alcotest.(check int) "write op" Instr.t_write (Instr.opcode fr);
-  Alcotest.(check int) "write reg" 1 (Instr.arg_a fr);
-  Alcotest.(check int) "write value" 42 (Instr.arg_b fr);
-  let fr = Instr.advance fr in
-  Alcotest.(check int) "fence op" Instr.t_fence (Instr.opcode fr);
-  let fr = Instr.advance fr in
-  Alcotest.(check int) "cas op" Instr.t_cas (Instr.opcode fr);
-  Alcotest.(check int) "cas reg" 2 (Instr.arg_a fr);
-  Alcotest.(check int) "cas expect" 5 (Instr.arg_b fr);
-  Alcotest.(check int) "cas update" 7 (Instr.arg_c fr);
-  let fr = Instr.advance_obs fr 1 in
-  Alcotest.(check int) "acc packs the cas outcome" ((5 * 64) + 1) fr.Instr.acc;
-  Alcotest.(check int) "swap op" Instr.t_swap (Instr.opcode fr);
-  let fr = Instr.advance_obs fr 3 in
-  Alcotest.(check int) "faa op" Instr.t_faa (Instr.opcode fr);
-  Alcotest.(check int) "faa addend" 2 (Instr.arg_b fr);
-  let fr = Instr.advance_obs fr 0 in
-  Alcotest.(check int) "spin op" Instr.t_spin (Instr.opcode fr);
-  let fr = Instr.advance_obs fr 2 in
-  Alcotest.(check int) "label op" Instr.t_label (Instr.opcode fr);
-  Alcotest.(check string) "label text" "here" (Instr.label_text fr);
-  let fr = Instr.advance fr in
-  Alcotest.(check int) "ret op" Instr.t_ret (Instr.opcode fr);
-  Alcotest.(check int) "acc-mode ret returns the packed log"
-    (Instr.pack (Instr.pack (Instr.pack (Instr.pack 5 1) 3) 0) 2)
-    (Instr.ret_value fr)
+(* Observed values offered at every read, spin, swap and fetch-and-add;
+   spin rounds observe every tuple over them. *)
+let values = [ 0; 1; 2 ]
 
-let ret_const () =
-  let b = Instr.create () in
-  Instr.emit_read b 0;
-  Instr.emit_ret_const b 77;
-  let code = Instr.finish b in
-  let fr = Instr.advance_obs (Instr.frame code) 9 in
-  Alcotest.(check int) "const-mode ret ignores the log" 77
-    (Instr.ret_value fr);
-  let b = Instr.create () in
-  Instr.emit_read b 0;
-  Instr.emit_ret b;
-  let code = Instr.finish b in
-  let fr = Instr.advance_obs (Instr.frame code) 9 in
-  Alcotest.(check int) "acc-mode ret returns the log" 9 (Instr.ret_value fr)
+let rec tuples n =
+  if n = 0 then [ [] ]
+  else List.concat_map (fun t -> List.map (fun v -> v :: t) values) (tuples (n - 1))
 
-let jmp_resolution () =
-  (* 0: jmp 2, 1: jmp 3, 2: jmp 1, 3: ret — resolution short-circuits
-     the whole chain, and the entry frame starts past it *)
-  let b = Instr.create () in
-  let j0 = Instr.here b in
-  Instr.emit_jmp b 0;
-  let j1 = Instr.here b in
-  Instr.emit_jmp b 0;
-  Instr.emit_jmp b j1;
-  Instr.emit_ret b;
-  Instr.patch_jmp b j0 2;
-  Instr.patch_jmp b j1 3;
-  let code = Instr.finish b in
-  Alcotest.(check int) "resolve short-circuits the chain" 3
-    (Instr.resolve code 0);
-  Alcotest.(check int) "entry frame lands on the ret" 3
-    (Instr.frame code).Instr.pc
-
-let operand_overflow () =
-  let b = Instr.create () in
-  let raises f =
-    match f () with
-    | () -> false
-    | exception Invalid_argument _ -> true
+(* Walk the shared tree [s] and the raw tree [r] side by side down every
+   path of at most [depth] nodes: each observation takes every value of
+   [values], a cas both outcomes, and a spin continues only on the
+   values its predicate accepts (the predicates must agree on all of
+   them). Both trees must show the same node kinds, registers,
+   operands, labels and return values; the first difference fails with
+   its path. A value the program never sees may make a continuation
+   raise (a lock indexing an array by it): then both must raise the
+   same exception, and the path ends there. Returns the number of
+   return nodes compared, so callers can tell that the walk was deep
+   enough to reach them. *)
+let rec walk ~depth path (s : P.t) (r : P.t) =
+  let fail what =
+    Alcotest.failf "%s differs after [%s]" what
+      (String.concat "; " (List.rev path))
   in
-  Alcotest.(check bool) "oversized write value rejected" true
-    (raises (fun () -> Instr.emit_write b 0 (1 lsl 21)));
-  Alcotest.(check bool) "oversized register rejected" true
-    (raises (fun () -> Instr.emit_read b (1 lsl 21)));
-  Alcotest.(check bool) "oversized cas update rejected" true
-    (raises (fun () -> Instr.emit_cas b 0 ~expect:0 ~update:(1 lsl 20)))
-
-let pack_compat () =
-  (* byte-compatible with Fuzz.Gen's packing *)
-  let gen_pack acc v = (acc * 64) + (v land 63) in
-  List.iter
-    (fun (acc, v) ->
-      Alcotest.(check int)
-        (Fmt.str "pack %d %d" acc v)
-        (gen_pack acc v) (Instr.pack acc v))
-    [ (0, 0); (0, 5); (5, 63); (1, 64); (7, -1); (123, 17) ]
-
-(* ------------------------------------------------------------------ *)
-(* Flattening: what compiles, what falls back                          *)
-(* ------------------------------------------------------------------ *)
-
-let is_flat = function Some (P.Flat _) -> true | _ -> false
-
-let flatten_straight_line () =
-  let ( let* ) = P.( let* ) in
-  let prog =
-    P.run
-      (let* () = P.write 0 1 in
-       let* _ = P.read 1 in
-       let* () = P.fence in
-       let* ok = P.cas 0 ~expect:1 ~update:2 in
-       ignore ok;
-       let* () = P.label "l" in
-       P.return 7)
+  let next step ks kr =
+    let force k = try Ok (k ()) with e -> Error (Printexc.to_string e) in
+    if depth <= 1 then 0
+    else
+      match (force ks, force kr) with
+      | Ok s, Ok r -> walk ~depth:(depth - 1) (step :: path) s r
+      | Error a, Error b when a = b -> 0
+      | _ -> fail ("exception at " ^ step)
   in
-  Alcotest.(check bool) "constant-return straight line flattens" true
-    (is_flat (Compile.flatten prog))
+  let each vs f = List.fold_left (fun n v -> n + f v) 0 vs in
+  match (s, r) with
+  | Done a, Done b | Ret a, Ret b ->
+      if a <> b then fail "return value";
+      1
+  | Read (ra, ka), Read (rb, kb) ->
+      if ra <> rb then fail "read register";
+      each values (fun v -> next (Fmt.str "read x%d=%d" ra v) (fun () -> ka v) (fun () -> kb v))
+  | Write (ra, va, ka), Write (rb, vb, kb) ->
+      if ra <> rb || va <> vb then fail "write";
+      next (Fmt.str "write x%d:=%d" ra va) ka kb
+  | Fence ka, Fence kb -> next "fence" ka kb
+  | Cas (ra, ea, ua, ka), Cas (rb, eb, ub, kb) ->
+      if ra <> rb || ea <> eb || ua <> ub then fail "cas";
+      each [ false; true ] (fun ok ->
+          next (Fmt.str "cas x%d=%b" ra ok) (fun () -> ka ok) (fun () -> kb ok))
+  | Swap (ra, va, ka), Swap (rb, vb, kb) ->
+      if ra <> rb || va <> vb then fail "swap";
+      each values (fun v -> next (Fmt.str "swap x%d=%d" ra v) (fun () -> ka v) (fun () -> kb v))
+  | Faa (ra, da, ka), Faa (rb, db, kb) ->
+      if ra <> rb || da <> db then fail "faa";
+      each values (fun v -> next (Fmt.str "faa x%d=%d" ra v) (fun () -> ka v) (fun () -> kb v))
+  | Spin (ra, pa, ka), Spin (rb, pb, kb) ->
+      if ra <> rb then fail "spin register";
+      each values (fun v ->
+          if pa v <> pb v then fail "spin predicate";
+          if pa v then next (Fmt.str "spin x%d=%d" ra v) (fun () -> ka v) (fun () -> kb v) else 0)
+  | Spinv (rsa, preva, pa, ka), Spinv (rsb, prevb, pb, kb) ->
+      if rsa <> rsb || preva <> prevb then fail "spin round";
+      each (tuples (List.length rsa)) (fun vs ->
+          if pa vs <> pb vs then fail "spin-round predicate";
+          if pa vs then
+            next
+              (Fmt.str "round %a" Fmt.(Dump.list int) vs)
+              (fun () -> ka vs) (fun () -> kb vs)
+          else 0)
+  | Label (la, ka), Label (lb, kb) ->
+      if la <> lb then fail "label";
+      next ("label " ^ la) ka kb
+  | _ -> fail "node kind"
 
-let flatten_rejects_value_dependence () =
-  let ( let* ) = P.( let* ) in
-  let computed_write =
-    P.run
-      (let* v = P.read 0 in
-       let* () = P.write 1 (v + 1) in
-       P.return 0)
-  in
-  Alcotest.(check bool) "computed write immediate falls back" true
-    (Compile.flatten computed_write = None);
-  let branching =
-    P.run
-      (let* v = P.read 0 in
-       if v = 0 then P.return 0
-       else
-         let* () = P.write 1 1 in
-         P.return 1)
-  in
-  Alcotest.(check bool) "value-dependent shape falls back" true
-    (Compile.flatten branching = None);
-  (* read >>= ret coincides with the packed log on every small probe
-     value but returns the raw value at runtime: flatten must not
-     claim the acc-mode return for it (the soundness pin — values
-     >= 64 would diverge under a 6-bit packed log) *)
-  let observation_return =
-    P.run
-      (let* v = P.read 0 in
-       P.return v)
-  in
-  Alcotest.(check bool) "observation-dependent return falls back" true
-    (Compile.flatten observation_return = None);
-  let data_spin =
-    P.run
-      (let* v = P.await 0 (fun v -> v = 1) in
-       ignore v;
-       P.return 0)
-  in
-  Alcotest.(check bool) "data-dependent spin falls back" true
-    (Compile.flatten data_spin = None)
+(* Walk one program; its shared and raw trees must agree and the walk
+   must reach at least one return. *)
+let check_shared ~depth what (p : P.t) =
+  let returns = walk ~depth [] (Compile.share p) p in
+  if returns = 0 then
+    Alcotest.failf "%s: no return within %d nodes" what depth
 
-let flatten_is_semantics_invisible () =
-  (* same test, compiled and raw: identical outcome sets and counts *)
-  let test nregs progs : Litmus.Test.t =
-    {
-      Litmus.Test.name = "flatten-parity";
-      description = "";
-      nregs;
-      programs = (fun regs -> progs regs);
-      observed = (fun regs -> Array.to_list regs);
-    }
-  in
-  let ( let* ) = P.( let* ) in
-  let t =
-    test 2 (fun r ->
-        [|
-          P.run
-            (let* () = P.write r.(0) 1 in
-             let* () = P.fence in
-             let* _ = P.read r.(1) in
-             P.return 0);
-          P.run
-            (let* () = P.write r.(1) 2 in
-             let* ok = P.cas r.(0) ~expect:1 ~update:3 in
-             ignore ok;
-             P.return 1);
-        |])
+let share_locks () =
+  let factories =
+    List.filter_map
+      (fun name -> Option.map (fun f -> (name, f)) (Locks.Registry.find name))
+      (Locks.Registry.names @ [ "gt:1"; "gt:2" ])
   in
   List.iter
-    (fun model ->
-      let a = Litmus.Test.run ~compile:true t ~model in
-      let b = Litmus.Test.run ~compile:false t ~model in
-      Alcotest.(check bool)
-        (Fmt.str "outcomes agree under %a" Memory_model.pp model)
-        true
-        (a.Litmus.Test.outcomes = b.Litmus.Test.outcomes);
-      Alcotest.(check int)
-        (Fmt.str "states agree under %a" Memory_model.pp model)
-        b.Litmus.Test.stats.Explore.states a.Litmus.Test.stats.Explore.states;
-      Alcotest.(check int)
-        (Fmt.str "transitions agree under %a" Memory_model.pp model)
-        b.Litmus.Test.stats.Explore.transitions
-        a.Litmus.Test.stats.Explore.transitions)
-    Memory_model.all
+    (fun nprocs ->
+      List.iter
+        (fun (name, factory) ->
+          let builder = Layout.Builder.create ~nprocs in
+          (* a lock that rejects this process count (Peterson is
+             2-process, the tournament needs a power of two) has no
+             passage to check *)
+          match factory builder ~nprocs with
+          | exception Invalid_argument _ -> ()
+          | lock ->
+              for p = 0 to nprocs - 1 do
+                check_shared ~depth:40
+                  (Fmt.str "%s n=%d p%d" name nprocs p)
+                  (Locks.Lock.passages lock p ~rounds:1)
+              done)
+        factories)
+    [ 2; 3 ]
 
-let lock_fallback_agrees () =
-  (* bakery's computed writes and data spins reject flattening; the
-     verdict and the exploration counts must not care *)
-  let factory = Option.get (Locks.Registry.find "bakery") in
-  let check compile =
-    Verify.Mutex_check.check ~compile ~rounds:1 ~model:Memory_model.Tso
-      factory ~nprocs:2
-  in
-  let a = check true and b = check false in
-  Alcotest.(check bool) "verdict agrees" b.Verify.Mutex_check.holds
-    a.Verify.Mutex_check.holds;
-  Alcotest.(check int) "states agree" b.Verify.Mutex_check.stats.Explore.states
-    a.Verify.Mutex_check.stats.Explore.states;
-  Alcotest.(check int) "transitions agree"
-    b.Verify.Mutex_check.stats.Explore.transitions
-    a.Verify.Mutex_check.stats.Explore.transitions
+let share_litmus () =
+  List.iter
+    (fun (t : Litmus.Test.t) ->
+      Array.iteri
+        (fun p prog ->
+          check_shared ~depth:40 (Fmt.str "%s p%d" t.Litmus.Test.name p) prog)
+        (t.Litmus.Test.programs (Array.init t.Litmus.Test.nregs Fun.id)))
+    Litmus.Cases.all
+
+let prop_share_generated =
+  QCheck.Test.make ~name:"sharing = raw tree: generated" ~count:50
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let params = { Fuzz.Gen.procs = 3; len = 7; nregs = 3; values = 3 } in
+      let t = Fuzz.Gen.compile (Fuzz.Gen.generate ~seed params) in
+      Array.iteri
+        (fun p prog -> check_shared ~depth:40 (Fmt.str "seed %d p%d" seed p) prog)
+        (t.Litmus.Test.programs (Array.init t.Litmus.Test.nregs Fun.id));
+      true)
 
 (* ------------------------------------------------------------------ *)
-(* Fence masking on flat code                                          *)
+(* Fence masking                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let flat_mask_stays_flat () =
+let fence_masks () =
   let prog =
     {
       Fuzz.Gen.seed = 0;
@@ -253,15 +155,6 @@ let flat_mask_stays_flat () =
     }
   in
   let test = Fuzz.Gen.compile prog in
-  let masked = Litmus.Test.with_fence_mask ~keep:(fun i -> i = 0) test in
-  let regs = Array.init test.Litmus.Test.nregs Fun.id in
-  Array.iter
-    (fun p ->
-      Alcotest.(check bool) "masked process is still flat code" true
-        (match (p : P.t) with P.Flat _ -> true | _ -> false))
-    (masked.Litmus.Test.programs regs);
-  (* dropping a fence re-opens the weak outcome on the unfenced side;
-     the full mask is extensionally the identity *)
   let run t model = (Litmus.Test.run t ~model).Litmus.Test.outcomes in
   let full = Litmus.Test.with_fence_mask ~keep:(fun _ -> true) test in
   Alcotest.(check bool) "full mask is the identity" true
@@ -271,9 +164,9 @@ let flat_mask_stays_flat () =
     (run none Memory_model.Tso
     = run (Fuzz.Gen.compile (Fuzz.Gen.strip_fences prog)) Memory_model.Tso)
 
-let flat_mask_markers_agree () =
-  (* marker labels from the flat rebuild = marker labels from the lazy
-     tree walk, site for site, on a replayed sequential trace *)
+let mask_markers () =
+  (* every site gets its marker label before the fence position, kept
+     (site 1) or dropped (site 0), in execution order *)
   let prog =
     {
       Fuzz.Gen.seed = 0;
@@ -283,36 +176,32 @@ let flat_mask_markers_agree () =
     }
   in
   let marker i = Fmt.str "site:%d" i in
-  let notes ~flat =
-    let test = Fuzz.Gen.compile ~flat prog in
-    let masked =
-      Litmus.Test.with_fence_mask ~marker ~keep:(fun i -> i = 1) test
-    in
-    let _regs, cfg =
-      Litmus.Test.configure masked ~model:Memory_model.Sc
-    in
-    let trace, _ = Scheduler.sequential cfg in
-    List.filter_map
-      (function Step.Note { text; _ } -> Some text | _ -> None)
-      (Trace.steps trace)
+  let masked =
+    Litmus.Test.with_fence_mask ~marker ~keep:(fun i -> i = 1)
+      (Fuzz.Gen.compile prog)
   in
-  Alcotest.(check (list string)) "marker notes agree flat vs tree"
-    (notes ~flat:false) (notes ~flat:true)
+  let _regs, cfg = Litmus.Test.configure masked ~model:Memory_model.Sc in
+  let trace, _ = Scheduler.sequential cfg in
+  let steps = Trace.steps trace in
+  Alcotest.(check (list string)) "marker notes, both sites in order"
+    [ "site:0"; "site:1" ]
+    (List.filter_map
+       (function Step.Note { text; _ } -> Some text | _ -> None)
+       steps);
+  Alcotest.(check int) "only the kept site fences" 1
+    (List.length
+       (List.filter (function Step.Fence _ -> true | _ -> false) steps))
 
 (* ------------------------------------------------------------------ *)
 (* Post-label caching: forcing-count pin                               *)
 (* ------------------------------------------------------------------ *)
 
 let label_forced_once () =
-  (* a label continuation that counts its forcings: the cached
-     post-label program ([pstate.skipped]) pins the count at exactly
-     two per state that steps through the label — once to cache the
-     post-label program at pstate construction, once in the
-     Note-emitting flush — no matter how many times exploration
-     queries the state (blocked checks, kind dispatch, keying), where
-     the uncached interpreter re-forced it per query.
-     [compile:false] keeps the deliberately impure closure out of the
-     flattener's probe passes. *)
+  (* a label continuation that counts its forcings. Sharing memoizes
+     it: the first force (caching the post-label program at pstate
+     construction) builds the node, and every later one — the
+     Note-emitting flush, blocked checks, kind dispatch, keying —
+     returns it, so it runs exactly once per run. *)
   let forced = ref 0 in
   let t =
     {
@@ -335,107 +224,19 @@ let label_forced_once () =
       observed = (fun _ -> []);
     }
   in
-  let r = Litmus.Test.run ~compile:false t ~model:Memory_model.Sc in
+  let r = Litmus.Test.run t ~model:Memory_model.Sc in
   Alcotest.(check int) "single completed run" 1
     (List.length r.Litmus.Test.outcomes);
-  Alcotest.(check int) "label continuation forced exactly twice" 2 !forced
-
-(* ------------------------------------------------------------------ *)
-(* Parity: compiled vs closure over generated programs                 *)
-(* ------------------------------------------------------------------ *)
-
-let run_config ~flat ~compile ~engine ~por seed params model =
-  let test = Fuzz.Gen.compile ~flat (Fuzz.Gen.generate ~seed params) in
-  let r = Litmus.Test.run ~compile ~engine ~por test ~model in
-  ( r.Litmus.Test.outcomes,
-    r.Litmus.Test.stats.Explore.states,
-    r.Litmus.Test.stats.Explore.transitions )
-
-let engines = [ (`Parallel 1, false); (`Parallel 1, true) ]
-
-let engine_name (`Parallel j, por) =
-  Fmt.str "mc j=%d%s" j (if por then "+por" else "")
-
-(* Every model x engine: the fully compiled build (constructive flat
-   emission + compiled configuration) and the raw closure build
-   (closure tree, compilation off) must produce identical outcome
-   sets, visit the same number of states and take the same number of
-   transitions — the compiled layer is semantics- and
-   metrics-invisible. *)
-let prop_parity =
-  QCheck.Test.make ~name:"compiled = closure at every model x engine"
-    ~count:12
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      let params = { Fuzz.Gen.default_params with len = 4 } in
-      List.for_all
-        (fun model ->
-          List.for_all
-            (fun ((engine, por) as e) ->
-              let a =
-                run_config ~flat:true ~compile:true ~engine ~por seed params
-                  model
-              and b =
-                run_config ~flat:false ~compile:false ~engine ~por seed params
-                  model
-              in
-              let _, sa, _ = a and _, sb, _ = b in
-              if a <> b then
-                QCheck.Test.fail_reportf
-                  "seed %d diverges under %a / %s: compiled %d states, \
-                   closure %d states"
-                  seed Memory_model.pp model (engine_name e) sa sb
-              else true)
-            engines)
-        Memory_model.all)
-
-(* The mixed builds too: flat emission under compile:false (flat code
-   passes through untouched) and the closure build under compile:true
-   (flatten probes accept or share) — all four corners agree. *)
-let prop_parity_corners =
-  QCheck.Test.make ~name:"all four build x compile corners agree" ~count:8
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      let params = { Fuzz.Gen.default_params with len = 4 } in
-      List.for_all
-        (fun model ->
-          let reference =
-            run_config ~flat:false ~compile:false ~engine:(`Parallel 1)
-              ~por:false seed params model
-          in
-          List.for_all
-            (fun (flat, compile) ->
-              run_config ~flat ~compile ~engine:(`Parallel 1) ~por:false seed
-                params model
-              = reference)
-            [ (true, true); (true, false); (false, true) ])
-        [ Memory_model.Sc; Memory_model.Pso; Memory_model.Ra ])
+  Alcotest.(check int) "label continuation forced exactly once" 1 !forced
 
 let suite =
   ( "compile",
     [
-      Alcotest.test_case "Instr encode/decode round-trips" `Quick
-        instr_roundtrip;
-      Alcotest.test_case "ret modes: packed log vs constant" `Quick ret_const;
-      Alcotest.test_case "jmp resolution short-circuits chains" `Quick
-        jmp_resolution;
-      Alcotest.test_case "oversized operands are rejected" `Quick
-        operand_overflow;
-      Alcotest.test_case "packing matches the generator's" `Quick pack_compat;
-      Alcotest.test_case "flatten accepts constant-return straight lines"
-        `Quick flatten_straight_line;
-      Alcotest.test_case "flatten rejects value dependence" `Quick
-        flatten_rejects_value_dependence;
-      Alcotest.test_case "flattening is semantics-invisible" `Quick
-        flatten_is_semantics_invisible;
-      Alcotest.test_case "lock fallback agrees with the closure path" `Quick
-        lock_fallback_agrees;
-      Alcotest.test_case "fence masking keeps flat code flat" `Quick
-        flat_mask_stays_flat;
-      Alcotest.test_case "flat mask markers agree with the tree walk" `Quick
-        flat_mask_markers_agree;
+      Alcotest.test_case "sharing = raw tree: lock passages" `Quick share_locks;
+      Alcotest.test_case "sharing = raw tree: litmus corpus" `Quick share_litmus;
+      QCheck_alcotest.to_alcotest prop_share_generated;
+      Alcotest.test_case "full and empty fence masks" `Quick fence_masks;
+      Alcotest.test_case "mask markers follow site order" `Quick mask_markers;
       Alcotest.test_case "post-label forcing count is pinned" `Quick
         label_forced_once;
-      QCheck_alcotest.to_alcotest prop_parity;
-      QCheck_alcotest.to_alcotest prop_parity_corners;
     ] )

@@ -319,6 +319,8 @@ let obstruction_checker_catches_handshakes () =
       ~nprocs:2
   in
   Alcotest.(check bool) "handshake strands" false v.Verify.Obstruction.holds;
+  Alcotest.(check bool) "a finding is not inconclusive" false
+    (Verify.Obstruction.inconclusive v);
   Alcotest.(check bool) "counterexample produced" true
     (v.Verify.Obstruction.counterexample <> None)
 
@@ -343,6 +345,8 @@ let obstruction_truncated_says_so () =
   in
   Alcotest.(check bool) "says no violation found" true
     (contains ": NO VIOLATION FOUND (");
+  Alcotest.(check bool) "inconclusive (CLI exit 2)" true
+    (Verify.Obstruction.inconclusive v);
   Alcotest.(check bool) "says truncated" true (contains " states, truncated)");
   Alcotest.(check bool) "never claims the property" false
     (contains "weakly obstruction-free")

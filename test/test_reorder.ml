@@ -134,7 +134,9 @@ let fenced_bakery_saturates_at_k0 () =
     v.Verify.Mutex_check.stats.Explore.states;
   let rendered = Fmt.str "%a" Verify.Mutex_check.pp_verdict v in
   Alcotest.(check bool) "prints plain OK" true (contains rendered ": OK (");
-  Alcotest.(check bool) "no subset qualifier" false (contains rendered "subset")
+  Alcotest.(check bool) "no subset qualifier" false (contains rendered "subset");
+  Alcotest.(check bool) "conclusive (CLI exit 0)" false
+    (Verify.Mutex_check.inconclusive v)
 
 let below_saturation_never_plain_ok () =
   (* peterson-unfenced under TSO: K=0 misses the real violation, so the
@@ -150,12 +152,16 @@ let below_saturation_never_plain_ok () =
   Alcotest.(check bool) "says subset" true
     (contains rendered "NO VIOLATION FOUND (reorder-bound 0 subset)");
   Alcotest.(check bool) "never plain OK" false (contains rendered ": OK");
+  Alcotest.(check bool) "inconclusive (CLI exit 2)" true
+    (Verify.Mutex_check.inconclusive v);
   (* and the unbounded engine does find the violation the bound hid *)
   let unb =
     Verify.Mutex_check.check ~max_states:cap ~model:Memory_model.Tso
       (lock "peterson-unfenced") ~nprocs:2
   in
-  Alcotest.(check bool) "unbounded finds it" false unb.Verify.Mutex_check.holds
+  Alcotest.(check bool) "unbounded finds it" false unb.Verify.Mutex_check.holds;
+  Alcotest.(check bool) "a violation is not inconclusive" false
+    (Verify.Mutex_check.inconclusive unb)
 
 let truncated_never_plain_ok () =
   (* the fenced bakery holds, but a run stopped by its state cap has
@@ -175,7 +181,9 @@ let truncated_never_plain_ok () =
         (contains rendered (expect ^ " ("));
       Alcotest.(check bool) "says truncated" true
         (contains rendered " states, truncated)");
-      Alcotest.(check bool) "never plain OK" false (contains rendered ": OK"))
+      Alcotest.(check bool) "never plain OK" false (contains rendered ": OK");
+      Alcotest.(check bool) "inconclusive (CLI exit 2)" true
+        (Verify.Mutex_check.inconclusive v))
     [
       (false, ": NO VIOLATION FOUND");
       (true, ": NO VIOLATION FOUND (symmetry-reduced subset)");
