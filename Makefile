@@ -37,8 +37,10 @@ bench:
 # Fast agreement check of the multicore engine (also part of dune
 # runtest; the binary also pins the bounded/deepening verdicts against
 # the exact engine), then the CLI bounded legs: a --reorder-bound 2
-# check on bakery/PSO (saturates, exact verdict) and one
-# iterative-deepening run (per-level records), then the view-backend
+# check on bakery/PSO (saturates, exact verdict; its final run record
+# must name the domain count, POR and the state cap behind the
+# verdict) and one iterative-deepening run (per-level records), then
+# the view-backend
 # legs: the 2+2W litmus cell under RA (weak outcome reachable) and
 # SRA (forbidden — the pinned RA/SRA separator) and a bakery check on
 # each. Those legs write NDJSON stats (uploaded as CI artifacts). The
@@ -54,6 +56,10 @@ mc-smoke:
 	dune exec test/mc_smoke.exe
 	dune exec bin/fencelab_cli.exe -- check bakery -m PSO -n 2 \
 	--reorder-bound 2 --stats-out MC_smoke_bounded.ndjson
+	for f in '"jobs":1,' '"por":false,' '"max_states":1000000,'; do \
+	  tail -n 1 MC_smoke_bounded.ndjson | grep -qF "$$f" \
+	    || { echo "mc-smoke: run record lacks $$f" >&2; exit 1; }; \
+	done
 	dune exec bin/fencelab_cli.exe -- check bakery -m PSO -n 2 \
 	--reorder-bound deepen --stats-out MC_smoke_deepen.ndjson
 	dune exec bin/fencelab_cli.exe -- litmus 2+2W -m RA \

@@ -504,18 +504,16 @@ let mc () =
   in
   let engines =
     List.map
-      (fun j -> (Fmt.str "mc j=%d" j, `Parallel j, false, false, None))
+      (fun j -> (Fmt.str "mc j=%d" j, `Parallel j, false, None))
       jobs_sweep
     @ [
-        ("mc j=1 +por", `Parallel 1, true, false, None);
-        ("mc j=4 +por", `Parallel 4, true, false, None);
-        ("mc j=1 +sym", `Parallel 1, false, true, None);
-        ("mc j=1 +por+sym", `Parallel 1, true, true, None);
+        ("mc j=1 +por", `Parallel 1, true, None);
+        ("mc j=4 +por", `Parallel 4, true, None);
         (* bounded rows: the reorder-budget under-approximation at K=2
            and the deepening driver, reading the same bound_hits counter
            `--stats-out` exports *)
-        ("mc j=1 rb=2", `Parallel 1, false, false, Some (`K 2));
-        ("mc j=1 deepen", `Parallel 1, false, false, Some `Deepen);
+        ("mc j=1 rb=2", `Parallel 1, false, Some (`K 2));
+        ("mc j=1 deepen", `Parallel 1, false, Some `Deepen);
       ]
   in
   let records = ref [] in
@@ -525,9 +523,7 @@ let mc () =
     List.concat_map
       (fun (name, nprocs, expected) ->
         List.map
-          (fun
-            (label, (`Parallel jobs as engine), por, symmetry, bound)
-          ->
+          (fun (label, (`Parallel jobs as engine), por, bound) ->
             let vstats = ref None in
             (* a fresh hub per run: counter totals are per-run, and the
                NDJSON columns below come straight off it — the same
@@ -540,7 +536,7 @@ let mc () =
               Verify.Mutex_check.check ~tel ~max_states:cap
                 ~expected_states:(min cap expected)
                 ~report_visited:(fun s -> vstats := Some s)
-                ~engine ~por ~symmetry ?reorder_bound:bound
+                ~engine ~por ?reorder_bound:bound
                 ~model:Memory_model.Pso (lock name) ~nprocs
             in
             let dt = Unix.gettimeofday () -. t0 in
@@ -549,7 +545,7 @@ let mc () =
             let steals = ctr "steals"
             and dedup = ctr "dedup_hits"
             and bound_hits = ctr "bound_hits"
-            and prunes = ctr "por_prunes" + ctr "sym_remaps" in
+            and prunes = ctr "por_prunes" in
             let s = v.Verify.Mutex_check.stats in
             let rate = float_of_int s.Explore.states /. dt in
             let mw_per_state =
@@ -559,7 +555,7 @@ let mc () =
             (* a run racing j domains over fewer CPUs measures contention,
                not scaling: flag it and refuse to publish a speedup *)
             let underprovisioned = jobs > cpus in
-            if (not por) && (not symmetry) && bound = None then
+            if (not por) && bound = None then
               Hashtbl.replace rates (name, jobs) rate;
             let speedup =
               if underprovisioned then Float.nan
@@ -576,14 +572,14 @@ let mc () =
             records :=
               Fmt.str
                 {|  {"workload": %S, "nprocs": %d, "model": "PSO",
-   "engine": %S, "jobs": %d, "por": %b, "symmetry": %b,
+   "engine": %S, "jobs": %d, "por": %b,
    "minor_words_per_state": %.1f,
    "reorder_bound": %s, "bound_hits": %d, "bound_exact": %b,
    "states": %d, "transitions": %d, "truncated": %b,
    "seconds": %.3f, "states_per_sec": %.0f,
    "steals": %d, "dedup_hits": %d, "prunes": %d,
    "speedup_vs_j1": %s, "underprovisioned": %b, "visited_skew": %s}|}
-                name nprocs label jobs por symmetry mw_per_state
+                name nprocs label jobs por mw_per_state
                 (match v.Verify.Mutex_check.reorder_bound with
                 | Some k -> string_of_int k
                 | None -> "null")
@@ -650,7 +646,7 @@ let mc () =
         records :=
           Fmt.str
             {|  {"workload": %S, "nprocs": %d, "model": %S,
-   "engine": "mc j=1", "jobs": 1, "por": false, "symmetry": false,
+   "engine": "mc j=1", "jobs": 1, "por": false,
    "minor_words_per_state": %.1f,
    "reorder_bound": null, "bound_hits": 0, "bound_exact": true,
    "states": %d, "transitions": %d, "truncated": %b,
@@ -693,9 +689,7 @@ let mc () =
     Fmt.pr
       "@.%d CPU(s) visible to the runtime; wrote BENCH_mc.json. Reading: \
        the work-stealing frontier keeps oversubscription cheap, but the \
-       states/s column can only scale with physical cores, not with j. \
-       POR and symmetry rows visit strictly fewer states with identical \
-       verdicts.@."
+       states/s column can only scale with physical cores, not with j.@."
       cpus
   end;
   if guard then begin

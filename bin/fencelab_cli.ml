@@ -82,19 +82,6 @@ let por_t =
         ~doc:
           "Partial-order reduction (safe-step persistent sets).")
 
-let symmetry_t =
-  Arg.(
-    value
-    & flag
-    & info [ "symmetry" ]
-        ~doc:
-          "Process-id symmetry reduction (canonical fingerprints over pid \
-           orbits). Complete only for fully pid-symmetric programs; the \
-           lock workloads embed pid tie-breaks, so exploration is an \
-           under-approximation: any violation reported is real, but a \
-           clean check is reported as 'OK (symmetry-reduced subset)', not \
-           a proof of correctness.")
-
 (* --reorder-bound K | deepen: the reorder-bounded under-approximation
    (fixed budget) or iterative deepening until violation/saturation. *)
 let bound_conv =
@@ -133,7 +120,7 @@ let reorder_bound_t =
            plain OK; a run that never hit the bound certifies saturation \
            and stays exact. $(b,deepen) starts at 0 and widens the bound \
            until a violation or saturation, resuming the visited set \
-           between levels. Exclusive with $(b,--symmetry).")
+           between levels.")
 
 (* --- observability ------------------------------------------------ *)
 
@@ -317,13 +304,13 @@ let check_cmd =
           ~doc:"State cap for exploration, K >= 1.")
   in
   let run (name, factory) model nprocs rounds max_states trace jobs por
-      symmetry reorder_bound progress interval stats_out =
+      reorder_bound progress interval stats_out =
    protect @@ fun () ->
     with_telemetry ~progress ~interval ~stats_out ~workers:jobs ~label:"check"
     @@ fun tel finish ->
     let v =
       Verify.Mutex_check.check ~tel ~rounds
-        ~max_states ~engine:(`Parallel jobs) ~por ~symmetry ?reorder_bound
+        ~max_states ~engine:(`Parallel jobs) ~por ?reorder_bound
         ~model factory ~nprocs
     in
     let level_records =
@@ -351,6 +338,9 @@ let check_cmd =
           ("model", S (Memory_model.to_string model));
           ("nprocs", I nprocs);
           ("rounds", I rounds);
+          ("jobs", I jobs);
+          ("por", B por);
+          ("max_states", I max_states);
           ("holds", B v.Verify.Mutex_check.holds);
           ("states", I v.Verify.Mutex_check.stats.Explore.states);
           ("transitions", I v.Verify.Mutex_check.stats.Explore.transitions);
@@ -391,7 +381,7 @@ let check_cmd =
     Term.(
       ret
         (const run $ lock_t $ model_t $ nprocs_t $ rounds_t $ max_states_t
-       $ trace_t $ jobs_t $ por_t $ symmetry_t $ reorder_bound_t
+       $ trace_t $ jobs_t $ por_t $ reorder_bound_t
        $ progress_t $ interval_t $ stats_out_t))
 
 let stress_cmd =
@@ -465,8 +455,6 @@ let litmus_cmd =
   in
   let run test model jobs por reorder_bound progress interval stats_out =
    protect @@ fun () ->
-    (* no --symmetry here: litmus verdicts project per-pid outcomes,
-       which orbit merging would conflate *)
     let engine = `Parallel jobs in
     let models, sweeping =
       match model with

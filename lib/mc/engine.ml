@@ -1,6 +1,6 @@
 (** The model-checking engine: work-stealing parallel exploration with
-    optional partial-order and symmetry reduction. At one domain it is
-    the repository's sequential explorer too.
+    optional partial-order reduction and reorder bound. At one domain it
+    is the repository's sequential explorer too.
 
     Architecture:
 
@@ -22,16 +22,11 @@
     - with [por], each expansion first looks for a persistent-singleton
       safe step ({!Por}); finding one prunes every sibling
       interleaving;
-    - with [symmetry], the visited set is keyed on {!Symmetry.canon}
-      — the minimum fingerprint over process-id permutations — so one
-      representative per pid orbit is expanded. Paths and
-      configurations are never canonicalized, so counterexamples
-      replay verbatim ({!Replay}) and need no de-canonicalization;
     - verdict paths are just the recorded [Exec.elt] schedules; they
       replay deterministically regardless of domain count or visit
       order.
 
-    Counts ([`Parallel j], [por:false], [symmetry:false]): on any run
+    Counts ([`Parallel j], [por:false]): on any run
     that completes within its bounds, the states, transitions,
     deadlocks and verdict {e sets} do not depend on [j] or on visit
     order — every distinct normalized state is claimed exactly once
@@ -72,8 +67,8 @@ let rec monitor_steps monitor m = function
 (** A frontier-consistent cut of a running j=1 exploration, in plain
     data (no closures, no monitor values): everything a killed run
     needs to restart from where it was. [ck_visited] holds the claim
-    keys verbatim (canonical under symmetry, budget-mixed under a
-    bound — whatever the run was keying on); [ck_pending] holds the
+    keys verbatim (budget-mixed under a bound — whatever the run was
+    keying on); [ck_pending] holds the
     {e paths} of the claimed-but-unexpanded tasks, in-hand task first
     and then the deque in pop order, so a resume reconstructs tasks by
     deterministic replay and continues in the exact exploration order
@@ -142,7 +137,7 @@ let replay_task (type m)
               }))
     root path
 
-let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
+let run_parallel (type m) ~tel ~jobs ~por ~expected_states
     ~report_visited ~max_states ~max_depth ~max_violations ~max_deadlocks
     ~(bound : int option) ~(on_boundary : (m task -> unit) option)
     ~(visited_in : Visited.t option) ~(seeds : m task list option)
@@ -164,14 +159,6 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
   (match (resume, seeds) with
   | Some _, Some _ -> invalid_arg "Mc.run: ~resume and ~seeds are exclusive"
   | _ -> ());
-  if symmetry && Memory_model.view_based cfg0.Config.model then
-    (* the canonicalizer would have to rename register and message ids
-       inside views, message bases and logs under a pid permutation —
-       not implemented, so refuse loudly rather than merge unsoundly *)
-    Fmt.invalid_arg
-      "Mc.run: ~symmetry:true is not supported under %s (view-based state is \
-       not pid-permutation-canonicalizable yet)"
-      (Memory_model.to_string cfg0.Config.model);
   (match bound with
   | Some _ when Memory_model.view_based cfg0.Config.model ->
       (* the budget meters overtaken buffer entries, which view-based
@@ -181,12 +168,6 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
          have no write buffer to meter)"
         (Memory_model.to_string cfg0.Config.model)
   | Some k when k < 0 -> Fmt.invalid_arg "Mc.run: reorder_bound %d" k
-  | Some _ when symmetry ->
-      (* the budget term is keyed by raw pids, which a pid permutation
-         scrambles; composing the two reductions soundly would need the
-         canonicalizer to permute the flag bitsets along with the orbit
-         — not implemented, so refuse loudly rather than under-explore *)
-      invalid_arg "Mc.run: ~symmetry:true and ~reorder_bound are exclusive"
   | _ -> ());
   (* Telemetry is always wired: with no hub supplied we bump a private
      one nobody reads. Counters are plain int adds on pre-allocated
@@ -207,7 +188,6 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
   let c_children = Telemetry.Hub.counter tel "children" in
   let c_dedup = Telemetry.Hub.counter tel "dedup_hits" in
   let c_por = Telemetry.Hub.counter tel "por_prunes" in
-  let c_sym = Telemetry.Hub.counter tel "sym_remaps" in
   let c_bound = Telemetry.Hub.counter tel "bound_hits" in
   (* [visited_in] lets the deepening driver resume a bounded run with
      the previous levels' claims intact — keys carry the budget term,
@@ -217,14 +197,6 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
     | Some v -> v
     | None -> Visited.create ?expected_states ()
   in
-  (* Symmetry needs observation digests that transform under register
-     renaming: switch on per-register observation tracking at the root
-     (every explored state descends from it), so {!Symmetry.canon} can
-     remap each process's per-register lanes instead of the ordered —
-     and permutation-scrambled — raw log. Plain fingerprints are
-     untouched; without symmetry nothing changes at all. *)
-  let cfg0 = if symmetry then Config.track_obs_regs cfg0 else cfg0 in
-  let sym = if symmetry then Some (Symmetry.create cfg0) else None in
   (* A resume restarts mid-run: counters continue from the cut (so
      caps and final totals match the uninterrupted run), the visited
      set gets the recorded claims back verbatim, and the recorded
@@ -307,29 +279,17 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
     end;
     Mutex.unlock sync
   in
-  (* Visited-set key of a normalized child: its fingerprint, or its
-     canonical (orbit-minimal) fingerprint under symmetry. A canonical
-     key differing from the plain fingerprint means the state was
-     folded onto another orbit representative — counted as a remap, the
-     observable trace of the symmetry reduction at work. *)
-  let key w (c : m task) =
-    let fp =
-      match sym with
-      | None -> c.fp
-      | Some s ->
-          let cfp = Symmetry.canon s c.cfg in
-          if not (Fingerprint.equal cfp c.fp) then
-            Telemetry.Cells.incr c_sym ~worker:w;
-          cfp
-    in
+  (* Visited-set key of a normalized child: its fingerprint, mixed
+     with its budget under a bound. *)
+  let key (c : m task) =
     match bound with
-    | None -> fp
+    | None -> c.fp
     | Some _ ->
         (* the budget (flag bitsets) is part of the bounded state: two
            paths to the same semantic state with different reorderings
            in flight have different admissible futures. Flag-free
            states mix the zero term, keeping their plain keys. *)
-        Fingerprint.mix fp (Fingerprint.budget_term c.cfg)
+        Fingerprint.mix c.fp (Fingerprint.budget_term c.cfg)
   in
   (* Bounded admissibility of an edge, judged on its successor: more
      reorderings in flight than the budget excludes the edge from the
@@ -532,7 +492,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
           match candidates with
           | [] -> []
           | [ c ] ->
-              if Visited.add visited (key w c) then begin
+              if Visited.add visited (key c) then begin
                 Atomic.incr states;
                 [ c ]
               end
@@ -549,7 +509,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
                 List.filter
                   (fun c ->
                     incr ntotal;
-                    Visited.add visited (key w c)
+                    Visited.add visited (key c)
                     && begin
                          incr nclaimed;
                          true
@@ -658,7 +618,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
             []
         | Ok m ->
             let t = { cfg; fp; m; rev_path = []; depth = 0 } in
-            ignore (Visited.add visited (key 0 t));
+            ignore (Visited.add visited (key t));
             Atomic.incr states;
             [ t ])
   in
@@ -716,7 +676,7 @@ let run_parallel (type m) ~tel ~jobs ~por ~symmetry ~expected_states
   }
 
 let run (type m) ?tel ?(engine : engine = `Parallel 1) ?(por = false)
-    ?(symmetry = false) ?expected_states ?report_visited
+    ?expected_states ?report_visited
     ?(max_states = 1_000_000) ?(max_depth = 100_000) ?(max_violations = 3)
     ?(max_deadlocks = max_int) ?reorder_bound ?checkpoint ?resume
     ?(check = fun (_ : Config.t) -> None)
@@ -726,16 +686,16 @@ let run (type m) ?tel ?(engine : engine = `Parallel 1) ?(por = false)
   if max_states < 1 then
     Fmt.invalid_arg "Mc.run: max_states %d < 1" max_states;
   let (`Parallel jobs) = engine in
-  run_parallel ~tel ~jobs ~por ~symmetry ~expected_states ~report_visited
+  run_parallel ~tel ~jobs ~por ~expected_states ~report_visited
     ~max_states ~max_depth ~max_violations ~max_deadlocks ~bound:reorder_bound
     ~on_boundary:None ~visited_in:None ~seeds:None ~checkpoint ~resume ~check
     ~monitor ~init ~on_final cfg0
 
 (** Exploration without a monitor: just reachability. *)
-let run_plain ?tel ?engine ?por ?symmetry ?expected_states ?max_states
-    ?max_depth ?max_deadlocks ?reorder_bound ?on_final cfg =
+let run_plain ?tel ?engine ?por ?expected_states ?max_states ?max_depth
+    ?max_deadlocks ?reorder_bound ?on_final cfg =
   let on_final = Option.map (fun f cfg (_ : unit) -> f cfg) on_final in
-  run ?tel ?engine ?por ?symmetry ?expected_states ?max_states ?max_depth
+  run ?tel ?engine ?por ?expected_states ?max_states ?max_depth
     ?max_deadlocks ?reorder_bound
     ~monitor:(fun () _ -> Ok ())
     ~init:() ?on_final cfg
@@ -743,11 +703,11 @@ let run_plain ?tel ?engine ?por ?symmetry ?expected_states ?max_states
 (** Reachable quiescent-state projections under [observe], sorted, plus
     the exploration result; [on_final] mutation is serialized by the
     engine. *)
-let reachable_outcomes ?tel ?engine ?por ?symmetry ?max_states ?max_depth
+let reachable_outcomes ?tel ?engine ?por ?max_states ?max_depth
     ?reorder_bound ~observe cfg =
   let outcomes = Hashtbl.create 16 in
   let result =
-    run_plain ?tel ?engine ?por ?symmetry ?max_states ?max_depth ?reorder_bound
+    run_plain ?tel ?engine ?por ?max_states ?max_depth ?reorder_bound
       ~on_final:(fun final -> Hashtbl.replace outcomes (observe final) ())
       cfg
   in
@@ -778,6 +738,13 @@ type 'm deepen_result = {
   levels : deepen_level list;  (** in ascending bound order *)
 }
 
+(* The fixed deepening schedule: start at the SC-consistent core
+   (bound 0), widen by one reordering per level, and stop at bound 62
+   at the latest. *)
+let bound_from = 0
+let bound_step = 1
+let max_bound = 62
+
 (** Iterative deepening: explore at [bound_from], and while the run is
     violation-free, complete, and recorded bound hits, widen the bound
     by [bound_step] and resume — sharing the visited set (keys carry
@@ -793,17 +760,13 @@ type 'm deepen_result = {
     count edges re-executed while re-expanding boundary tasks. *)
 let deepen (type m) ?tel ?(jobs = 1) ?(por = false) ?expected_states
     ?report_visited ?(max_states = 1_000_000) ?(max_depth = 100_000)
-    ?(max_violations = 3) ?(max_deadlocks = max_int) ?(bound_from = 0)
-    ?(bound_step = 1) ?(max_bound = 62)
+    ?(max_violations = 3) ?(max_deadlocks = max_int)
     ?(check = fun (_ : Config.t) -> None)
     ~(monitor : m -> Step.t -> (m, string) Stdlib.result) ~(init : m)
     ?(on_final = fun (_ : Config.t) (_ : m) -> ()) (cfg0 : Config.t) :
     m deepen_result =
   if max_states < 1 then
     Fmt.invalid_arg "Mc.deepen: max_states %d < 1" max_states;
-  if bound_from < 0 || bound_step < 1 || max_bound < bound_from then
-    Fmt.invalid_arg "Mc.deepen: bound_from %d, bound_step %d, max_bound %d"
-      bound_from bound_step max_bound;
   if Memory_model.view_based cfg0.Config.model then
     Fmt.invalid_arg
       "Mc.deepen: iterative deepening is reorder-bounded exploration, which \
@@ -825,7 +788,7 @@ let deepen (type m) ?tel ?(jobs = 1) ?(por = false) ?expected_states
       Mutex.unlock bmutex
     in
     let r =
-      run_parallel ~tel ~jobs ~por ~symmetry:false ~expected_states
+      run_parallel ~tel ~jobs ~por ~expected_states
         ~report_visited:None ~max_states:(max_states - !cum_states) ~max_depth
         ~max_violations ~max_deadlocks ~bound:(Some k)
         ~on_boundary:(Some on_boundary) ~visited_in:(Some visited) ~seeds
@@ -872,7 +835,7 @@ let deepen (type m) ?tel ?(jobs = 1) ?(por = false) ?expected_states
       (* Deterministic resume at any [jobs]: the mutex-guarded
          collection order is racy under work stealing, so seed the
          next level in sorted bounded-key order. Tasks noted at one
-         level carry distinct bounded keys (the claim key: canonical
+         level carry distinct bounded keys (the claim key: the
          fingerprint mixed with the budget term), so the order is
          total and discovery-independent — level records become
          reproducible across [--jobs] (pinned by the j∈{1,4}
@@ -894,12 +857,10 @@ let deepen (type m) ?tel ?(jobs = 1) ?(por = false) ?expected_states
 (** Deepening counterpart of {!reachable_outcomes}: the outcome set is
     accumulated across levels (each level adds its newly reached
     quiescent states). *)
-let deepen_outcomes ?tel ?jobs ?por ?max_states ?max_depth ?bound_from
-    ?bound_step ?max_bound ~observe cfg =
+let deepen_outcomes ?tel ?jobs ?por ?max_states ?max_depth ~observe cfg =
   let outcomes = Hashtbl.create 16 in
   let d =
-    deepen ?tel ?jobs ?por ?max_states ?max_depth ?bound_from ?bound_step
-      ?max_bound
+    deepen ?tel ?jobs ?por ?max_states ?max_depth
       ~monitor:(fun () _ -> Ok ())
       ~init:()
       ~on_final:(fun final () -> Hashtbl.replace outcomes (observe final) ())

@@ -2,8 +2,8 @@
     one explorer. [`Parallel j] (the default at [j = 1]) explores with
     [j] domains over per-worker work-stealing deques and a
     fingerprint-sharded visited set, optionally under partial-order
-    reduction ([por], {!Por}) and process-id symmetry reduction
-    ([symmetry], {!Symmetry}). See the implementation header for the
+    reduction ([por], {!Por}) or a reorder bound ([reorder_bound]). See
+    the implementation header for the
     count guarantees across domain counts and the thread-safety
     contract of the hooks; [Fuzz.Reference] is the lane-free explorer
     the parity suites check it against. *)
@@ -50,18 +50,14 @@ type checkpoint = {
     [check] and [monitor] must be pure; [on_final] is serialized
     internally. With [por] the states/transitions counts
     drop but all deadlocks, quiescent states and note-driven monitor
-    verdicts are preserved. With [symmetry] the visited set is keyed
-    on canonical (orbit-minimal) fingerprints, so one representative
-    per process-id orbit is expanded — sound for pid-symmetric
-    workloads (see {!Symmetry}); counterexample paths are recorded
-    verbatim and replay without de-canonicalization.
+    verdicts are preserved.
     [expected_states] pre-sizes the visited set ({!Visited.create});
     [report_visited] receives the visited set's occupancy statistics
     when the run finishes.
 
     [tel] plugs a {!Telemetry.Hub.t} into the run: the engine
     registers its counters (expansions, children, dedup_hits,
-    por_prunes, sym_remaps, plus the frontier's steals/sleeps) and
+    por_prunes, bound_hits, plus the frontier's steals/sleeps) and
     live gauges (states, transitions, frontier, visited,
     visited_skew) on it, so a {!Telemetry.Sampler} can stream
     progress while the run is live. The hub must have at least as
@@ -87,9 +83,7 @@ type checkpoint = {
     [por], an over-budget ample step falls back to the full filtered
     expansion — the combination stays an under-approximation whose
     saturation certificate ([bound_hits = 0] on a completed run) is
-    still exact. [reorder_bound] and [symmetry] are mutually exclusive
-    (raises [Invalid_argument]): the budget term is keyed by raw pids,
-    which orbit canonicalization scrambles.
+    still exact.
 
     [checkpoint:(every, emit)] calls [emit] with a
     frontier-consistent {!checkpoint} each time roughly [every] more
@@ -105,7 +99,6 @@ val run :
   ?tel:Telemetry.Hub.t ->
   ?engine:engine ->
   ?por:bool ->
-  ?symmetry:bool ->
   ?expected_states:int ->
   ?report_visited:(Visited.stats -> unit) ->
   ?max_states:int ->
@@ -127,7 +120,6 @@ val run_plain :
   ?tel:Telemetry.Hub.t ->
   ?engine:engine ->
   ?por:bool ->
-  ?symmetry:bool ->
   ?expected_states:int ->
   ?max_states:int ->
   ?max_depth:int ->
@@ -138,14 +130,11 @@ val run_plain :
   unit Explore.result
 
 (** Reachable quiescent-state projections under [observe], sorted, plus
-    the exploration result. (Under [symmetry] only orbit
-    representatives are observed — keep it off when per-pid outcome
-    projections matter, e.g. litmus assertions.) *)
+    the exploration result. *)
 val reachable_outcomes :
   ?tel:Telemetry.Hub.t ->
   ?engine:engine ->
   ?por:bool ->
-  ?symmetry:bool ->
   ?max_states:int ->
   ?max_depth:int ->
   ?reorder_bound:int ->
@@ -179,17 +168,17 @@ type 'm deepen_result = {
   levels : deepen_level list;  (** ascending bound order *)
 }
 
-(** Iterative deepening over the reorder bound: run at [bound_from]
-    (default 0, the SC-consistent core), and while the level is
-    violation-free, complete, and hit the bound somewhere, widen by
-    [bound_step] and {e resume} — the visited set is shared across
-    levels (keys carry the budget term, so earlier claims stay valid)
-    and only the boundary states (those with a pruned edge) are
-    re-seeded. Stops at the first violating level, at saturation, at
-    truncation, or at [max_bound]. [max_states] caps the {e cumulative}
-    state count (at least 1, else [Invalid_argument]). Always
-    [`Parallel jobs] (default 1); [symmetry] is not available (see
-    {!run}). *)
+(** Iterative deepening over the reorder bound: run at bound 0 (the
+    SC-consistent core), and while the level is violation-free,
+    complete, and hit the bound somewhere, widen the bound by 1 and
+    {e resume} — the visited set is shared across levels (keys carry
+    the budget term, so earlier claims stay valid) and only the
+    boundary states (those with a pruned edge) are re-seeded. Stops at
+    the first violating level, at saturation, at truncation, or at
+    bound 62. The schedule (start 0, step 1, cap 62) is a private
+    constant of the implementation. [max_states] caps the
+    {e cumulative} state count (at least 1, else [Invalid_argument]).
+    Always [`Parallel jobs] (default 1). *)
 val deepen :
   ?tel:Telemetry.Hub.t ->
   ?jobs:int ->
@@ -200,9 +189,6 @@ val deepen :
   ?max_depth:int ->
   ?max_violations:int ->
   ?max_deadlocks:int ->
-  ?bound_from:int ->
-  ?bound_step:int ->
-  ?max_bound:int ->
   ?check:(Config.t -> string option) ->
   monitor:('m -> Step.t -> ('m, string) Stdlib.result) ->
   init:'m ->
@@ -218,9 +204,6 @@ val deepen_outcomes :
   ?por:bool ->
   ?max_states:int ->
   ?max_depth:int ->
-  ?bound_from:int ->
-  ?bound_step:int ->
-  ?max_bound:int ->
   observe:(Config.t -> 'a) ->
   Config.t ->
   'a list * unit deepen_result

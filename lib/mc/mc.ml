@@ -9,7 +9,6 @@
     - {!Deque}: Chase–Lev lock-free work-stealing deque;
     - {!Frontier}: per-worker deques + distributed termination;
     - {!Por}: independence relation and safe-step selection;
-    - {!Symmetry}: canonical fingerprints over process-id orbits;
     - {!Replay}: deterministic counterexample replay;
     - {!Engine} (included here): [Mc.run] and friends, the one
       explorer every check runs on, at [?engine:(`Parallel j)]
@@ -17,7 +16,7 @@
       lane-free explorer the parity suites check it against.
 
     Entry points:
-    [Mc.run ~engine:(`Parallel jobs) ~por:true ~symmetry:true ...],
+    [Mc.run ~engine:(`Parallel jobs) ~por:true ...],
     [Mc.run_plain], [Mc.reachable_outcomes]. *)
 
 module Fingerprint = Fingerprint
@@ -26,6 +25,5 @@ module Deque = Deque
 module Frontier = Frontier
 module Por = Por
 module Replay = Replay
-module Symmetry = Symmetry
 
 include Engine

@@ -59,23 +59,3 @@ let mem_lanes_scratch (cfg : Config.t) =
   | Some s ->
       let sa, sb = Modlog.lanes_scratch s in
       (mha lxor sa, mhb lxor sb)
-
-(** Per-pid lane extraction under a register renaming — the symmetry
-    canonicalizer's building blocks (see [Mc.Symmetry]). A pid
-    permutation π acts on a configuration by relabelling processes
-    {e and} renaming each process-owned register to its image's bank;
-    these compute the lanes of that renamed view without building it.
-    Register ids occur in the local key only through the last-read
-    pair and the write-buffer entries — observation logs are raw
-    values and pid-free — so [proc_lanes_mapped] is O(|wb| + 1), and
-    memory lanes are xor-composed, hence renaming-order-free. The
-    identity mapping reproduces {!proc_lanes} / {!mem_lanes}. *)
-let proc_lanes_mapped ~map_reg (st : Config.pstate) =
-  Config.mapped_lanes ~map_reg st
-
-let mem_lanes_mapped ~map_reg (cfg : Config.t) =
-  (* store lanes are composed unmapped: symmetry reduction is rejected
-     for view-based models ([Mc]), so the store is always [None] when
-     a non-identity renaming reaches here, and identity must reproduce
-     {!mem_lanes} *)
-  with_store_lanes cfg (Config.Mem.lanes_mapped ~map_reg cfg.Config.mem)

@@ -196,10 +196,18 @@ let parse_number st =
     | Some n -> Int n
     | None -> error st "bad number %S" text
 
-let rec parse_value st =
+(* Deepest nesting of arrays and objects [parse] accepts. A checkpoint,
+   the deepest document serve writes, nests 4 levels; the cap keeps a
+   hostile line from recursing once per byte. *)
+let max_depth = 64
+
+(* [depth] counts the arrays and objects enclosing the value. *)
+let rec parse_value st depth =
   skip_ws st;
   match peek st with
   | None -> error st "unexpected end of input"
+  | Some ('{' | '[') when depth >= max_depth ->
+      error st "nesting deeper than %d levels" max_depth
   | Some '{' ->
       st.i <- st.i + 1;
       skip_ws st;
@@ -213,7 +221,7 @@ let rec parse_value st =
           let k = parse_string st in
           skip_ws st;
           expect st ':';
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           skip_ws st;
           match peek st with
           | Some ',' ->
@@ -234,7 +242,7 @@ let rec parse_value st =
       end
       else
         let rec elts acc =
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           skip_ws st;
           match peek st with
           | Some ',' ->
@@ -256,7 +264,7 @@ let rec parse_value st =
 let parse s =
   let st = { s; i = 0 } in
   match
-    let v = parse_value st in
+    let v = parse_value st 0 in
     skip_ws st;
     if st.i <> String.length s then error st "trailing garbage";
     v

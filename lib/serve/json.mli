@@ -16,7 +16,9 @@ type t =
 (** Parse one JSON value (leading/trailing whitespace allowed).
     Integers without [.]/[e] parse as [Int]; [\uXXXX] escapes outside
     ASCII are rejected rather than silently mangled — the wire format
-    never produces them. *)
+    never produces them. Arrays and objects nested more than 64 levels
+    deep are rejected too: serve's deepest record, a checkpoint, nests
+    4. *)
 val parse : string -> (t, string) result
 
 (** Compact printing: no whitespace, object fields in list order,

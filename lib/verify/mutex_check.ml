@@ -23,9 +23,6 @@ type verdict = {
   nprocs : int;
   rounds : int;
   holds : bool;
-  symmetry : bool;
-      (** checked under pid-symmetry reduction — see {!check}: [holds]
-          then means "no violation in the symmetry-reduced subset" *)
   reorder_bound : int option;
       (** the (final) reorder bound the run was checked under; [None]
           means unbounded *)
@@ -49,14 +46,12 @@ let pp_verdict ppf v =
     (if v.holds then
        (* honest accounting: a clean pass below saturation, or one cut
           short by a state or depth cap, is a subset verdict and must
-          never print as a plain OK — mirror the [--symmetry] wording
-          discipline *)
-       let subset = if v.symmetry then " (symmetry-reduced subset)" else "" in
+          never print as a plain OK *)
        match v.reorder_bound with
        | Some k when not v.bound_exact ->
            Fmt.str "NO VIOLATION FOUND (reorder-bound %d subset)" k
-       | _ when v.stats.Explore.truncated -> "NO VIOLATION FOUND" ^ subset
-       | _ -> "OK" ^ subset
+       | _ when v.stats.Explore.truncated -> "NO VIOLATION FOUND"
+       | _ -> "OK"
      else if v.me_violation <> None then "MUTUAL EXCLUSION VIOLATED"
      else if v.deadlock <> None then "DEADLOCK"
      else "LOST UPDATE")
@@ -122,10 +117,8 @@ let workload ~model (factory : Locks.Lock.factory) ~nprocs ~rounds =
   (lock, counter, Config.make ~model ~layout programs)
 
 let check ?tel ?(rounds = 1) ?max_states ?max_depth ?expected_states
-    ?report_visited ?(engine = `Parallel 1) ?(por = false) ?(symmetry = false)
-    ?reorder_bound ?checkpoint ?resume ~model factory ~nprocs : verdict =
-  if symmetry && reorder_bound <> None then
-    invalid_arg "Mutex_check.check: ~symmetry and ~reorder_bound are exclusive";
+    ?report_visited ?(engine = `Parallel 1) ?(por = false) ?reorder_bound
+    ?checkpoint ?resume ~model factory ~nprocs : verdict =
   if (checkpoint <> None || resume <> None) && reorder_bound = Some `Deepen then
     invalid_arg "Mutex_check.check: ~checkpoint/~resume do not apply to `Deepen";
   let lock, counter, cfg = workload ~model factory ~nprocs ~rounds in
@@ -135,29 +128,22 @@ let check ?tel ?(rounds = 1) ?max_states ?max_depth ?expected_states
       lost_update := true
   in
   (* The checker's monitor is note-driven, so POR preserves its
-     verdicts (see Mc.Por). Symmetry guarantees less: the passage loop
-     is shared, but the lock factories embed pid-dependent tie-breaks
-     (bakery's [slot < j]), so the workload is only near-symmetric,
-     the quotient is not closed, and the reduced run explores a
-     subset of the reachable state classes — a reported violation is
-     a real reachable one, but an all-clear is an under-approximation,
-     surfaced in the verdict as "OK (symmetry-reduced subset)" (see
-     Mc.Symmetry). A reorder
-     bound is the same kind of under-approximation, except it can
-     {e certify its own completeness}: zero bound hits on a completed
-     run means nothing was pruned and the verdict is exact. *)
+     verdicts (see Mc.Por). A reorder bound under-approximates, but it
+     can {e certify its own completeness}: zero bound hits on a
+     completed run means nothing was pruned and the verdict is
+     exact. *)
   let result, bound, bound_exact, deepen_levels =
     match reorder_bound with
     | None ->
         let r =
-          Mc.run ?tel ~engine ~por ~symmetry ?expected_states ?report_visited
+          Mc.run ?tel ~engine ~por ?expected_states ?report_visited
             ?max_states ?max_depth ~max_violations:1 ?checkpoint ?resume
             ~monitor:cs_monitor ~init:Pid.Set.empty ~on_final cfg
         in
         (r, None, true, [])
     | Some (`K k) ->
         let r =
-          Mc.run ?tel ~engine ~por ~symmetry ?expected_states ?report_visited
+          Mc.run ?tel ~engine ~por ?expected_states ?report_visited
             ?max_states ?max_depth ~max_violations:1 ~reorder_bound:k
             ?checkpoint ?resume ~monitor:cs_monitor ~init:Pid.Set.empty
             ~on_final cfg
@@ -191,7 +177,6 @@ let check ?tel ?(rounds = 1) ?max_states ?max_depth ?expected_states
     model;
     nprocs;
     rounds;
-    symmetry;
     reorder_bound = bound;
     bound_exact;
     deepen_levels;

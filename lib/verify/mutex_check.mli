@@ -15,11 +15,6 @@ type verdict = {
   nprocs : int;
   rounds : int;
   holds : bool;
-  symmetry : bool;
-      (** checked under pid-symmetry reduction: exploration was an
-          under-approximation (see {!check}), so [holds = true] means
-          "no violation found in the symmetry-reduced subset" — printed
-          by {!pp_verdict} as ["OK (symmetry-reduced subset)"] *)
   reorder_bound : int option;
       (** the (final) reorder bound checked under; [None] = unbounded *)
   bound_exact : bool;
@@ -57,15 +52,9 @@ val workload :
 
 (** [engine] sets the domain count: [`Parallel j] runs the [Mc]
     engine over [j] domains ([`Parallel 1] by default), optionally with
-    partial-order reduction ([por]) and/or process-id symmetry
-    reduction ([symmetry]). The occupancy monitor is note-driven, so POR
-    preserves its verdicts while visiting fewer states. Symmetry does
-    {e not}: the lock workloads are only near-symmetric (pid-dependent
-    tie-breaks live in program text, outside the canonical key), so
-    under [symmetry] the run explores a subset of the reachable state
-    classes — any violation reported is real, but a clean pass is an
-    under-approximate verdict, flagged in {!verdict.symmetry} and
-    printed as ["OK (symmetry-reduced subset)"]. [expected_states]
+    partial-order reduction ([por]). The occupancy monitor is
+    note-driven, so POR preserves its verdicts while visiting fewer
+    states. [expected_states]
     pre-sizes the engine's visited set; [report_visited] receives its
     occupancy statistics when the run finishes. [tel] plugs a
     {!Telemetry.Hub.t} into the run for live progress and NDJSON stats
@@ -74,8 +63,7 @@ val workload :
     [reorder_bound] checks the reorder-bounded under-approximation:
     [`K k] with a fixed budget (the verdict records whether the run
     certified saturation and is therefore exact), [`Deepen] with
-    iterative deepening from 0 ({!Mc.deepen}). Mutually exclusive with
-    [symmetry] (raises [Invalid_argument]).
+    iterative deepening from 0 ({!Mc.deepen}).
 
     [checkpoint]/[resume] pass through to {!Mc.run} (periodic
     frontier-consistent cuts and exact continuation; [`Parallel 1]
@@ -87,7 +75,7 @@ val check :
   ?rounds:int -> ?max_states:int -> ?max_depth:int ->
   ?expected_states:int -> ?report_visited:(Mc.Visited.stats -> unit) ->
   ?engine:Mc.engine -> ?por:bool ->
-  ?symmetry:bool -> ?reorder_bound:bound_mode ->
+  ?reorder_bound:bound_mode ->
   ?checkpoint:int * (Mc.checkpoint -> unit) -> ?resume:Mc.checkpoint ->
   model:Memory_model.t ->
   Locks.Lock.factory -> nprocs:int -> verdict

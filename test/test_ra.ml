@@ -413,9 +413,8 @@ let check_invalid name f =
   | _ -> Alcotest.failf "%s: expected Invalid_argument" name
 
 (* Write-buffer-specific reductions are rejected, not silently
-   misapplied: the reorder bound meters buffer occupancy and symmetry
-   canonicalizes pid-keyed buffer state, neither of which exists under
-   the view backend. *)
+   misapplied: the reorder bound meters buffer occupancy, which does
+   not exist under the view backend. *)
 let reductions_rejected () =
   let cfg model =
     snd (Litmus.Test.configure Litmus.Cases.sb ~model)
@@ -425,8 +424,6 @@ let reductions_rejected () =
   check_invalid "parallel --reorder-bound under SRA" (fun () ->
       Mc.run_plain ~engine:(`Parallel 1) ~reorder_bound:1
         (cfg Memory_model.Sra));
-  check_invalid "parallel --symmetry under RA" (fun () ->
-      Mc.run_plain ~engine:(`Parallel 1) ~symmetry:true (cfg Memory_model.Ra));
   check_invalid "deepen under SRA" (fun () ->
       Mc.deepen
         ~monitor:(fun m _ -> Ok m)

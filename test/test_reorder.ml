@@ -166,38 +166,21 @@ let below_saturation_never_plain_ok () =
 let truncated_never_plain_ok () =
   (* the fenced bakery holds, but a run stopped by its state cap has
      not shown it: the clean pass must say what it saw, not OK *)
-  List.iter
-    (fun (symmetry, expect) ->
-      let v =
-        Verify.Mutex_check.check ~max_states:500 ~symmetry
-          ~model:Memory_model.Pso (lock "bakery") ~nprocs:2
-      in
-      Alcotest.(check bool) "truncated" true
-        v.Verify.Mutex_check.stats.Explore.truncated;
-      Alcotest.(check bool) "no violation found" true
-        v.Verify.Mutex_check.holds;
-      let rendered = Fmt.str "%a" Verify.Mutex_check.pp_verdict v in
-      Alcotest.(check bool) ("says " ^ expect) true
-        (contains rendered (expect ^ " ("));
-      Alcotest.(check bool) "says truncated" true
-        (contains rendered " states, truncated)");
-      Alcotest.(check bool) "never plain OK" false (contains rendered ": OK");
-      Alcotest.(check bool) "inconclusive (CLI exit 2)" true
-        (Verify.Mutex_check.inconclusive v))
-    [
-      (false, ": NO VIOLATION FOUND");
-      (true, ": NO VIOLATION FOUND (symmetry-reduced subset)");
-    ]
-
-let symmetry_and_bound_are_exclusive () =
-  Alcotest.check_raises "rejected"
-    (Invalid_argument
-       "Mutex_check.check: ~symmetry and ~reorder_bound are exclusive")
-    (fun () ->
-      ignore
-        (Verify.Mutex_check.check ~engine:(`Parallel 1) ~symmetry:true
-           ~reorder_bound:(`K 1) ~model:Memory_model.Pso (lock "bakery")
-           ~nprocs:2))
+  let v =
+    Verify.Mutex_check.check ~max_states:500 ~model:Memory_model.Pso
+      (lock "bakery") ~nprocs:2
+  in
+  Alcotest.(check bool) "truncated" true
+    v.Verify.Mutex_check.stats.Explore.truncated;
+  Alcotest.(check bool) "no violation found" true v.Verify.Mutex_check.holds;
+  let rendered = Fmt.str "%a" Verify.Mutex_check.pp_verdict v in
+  Alcotest.(check bool) "says NO VIOLATION FOUND" true
+    (contains rendered ": NO VIOLATION FOUND (");
+  Alcotest.(check bool) "says truncated" true
+    (contains rendered " states, truncated)");
+  Alcotest.(check bool) "never plain OK" false (contains rendered ": OK");
+  Alcotest.(check bool) "inconclusive (CLI exit 2)" true
+    (Verify.Mutex_check.inconclusive v)
 
 (* --- iterative deepening ----------------------------------------------- *)
 
@@ -404,8 +387,6 @@ let suite =
         below_saturation_never_plain_ok;
       Alcotest.test_case "a truncated run never prints plain OK" `Quick
         truncated_never_plain_ok;
-      Alcotest.test_case "symmetry and reorder bound are exclusive" `Quick
-        symmetry_and_bound_are_exclusive;
       Alcotest.test_case "deepen = exact engine on the ablation corpus" `Slow
         deepen_matches_exact_on_ablation;
       Alcotest.test_case "deepen replays its first violation verbatim" `Quick

@@ -52,6 +52,46 @@ let json_roundtrip () =
       | Error _ -> ())
     [ "{"; "[1,]"; "{\"a\":}"; "nul"; "\"unterminated"; "{} trailing"; "" ]
 
+(* A line nested a million levels deep is rejected by the nesting cap,
+   a document as deep as a checkpoint (4 levels; checkpoint_golden
+   pins the bytes) still parses, and the daemon goes on to the next
+   line. *)
+let json_nesting_cap () =
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let deep = String.make 1_000_000 '[' in
+  (match Serve.Job.of_line deep with
+  | Ok _ -> Alcotest.fail "accepted a 1M-deep line"
+  | Error e ->
+      Alcotest.(check bool) ("nesting error: " ^ e) true (contains e "nesting"));
+  let four = {|{"a":[[{"b":1}]]}|} in
+  (match Serve.Json.parse four with
+  | Ok v ->
+      Alcotest.(check string) "4-deep roundtrip" four (Serve.Json.to_string v)
+  | Error e -> Alcotest.failf "4-deep document rejected: %s" e);
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Fmt.str "serve_deep_%d" (Unix.getpid ()))
+  in
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let oc = open_out (Filename.concat dir "batch.job") in
+  output_string oc
+    (deep ^ "\n"
+   ^ {|{"job":"check","id":"d1","lock":"ttas","model":"SC","nprocs":2}|}
+   ^ "\n");
+  close_out oc;
+  let r = Serve.Daemon.run ~window:1 (`Spool dir) in
+  Alcotest.(check int) "rejected" 1 r.Serve.Daemon.rejected;
+  Alcotest.(check int) "accepted" 1 r.Serve.Daemon.accepted;
+  Alcotest.(check int) "failed" 0 r.Serve.Daemon.failed;
+  Alcotest.(check bool) "next line ran" true
+    (Sys.file_exists (Filename.concat dir "d1.done"));
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* --- wire-format golden bytes -------------------------------------- *)
 
 let job_golden () =
@@ -390,6 +430,8 @@ let suite =
     [
       Alcotest.test_case "json: parse/print roundtrip + rejections" `Quick
         json_roundtrip;
+      Alcotest.test_case "json: nesting cap rejects deep lines, daemon drains"
+        `Quick json_nesting_cap;
       Alcotest.test_case "wire: job record golden bytes" `Quick job_golden;
       Alcotest.test_case "wire: ack record golden bytes" `Quick ack_golden;
       Alcotest.test_case "wire: checkpoint golden bytes + file roundtrip"
